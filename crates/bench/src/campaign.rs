@@ -19,9 +19,9 @@
 //!   [`Mala`] catalogue (namespace/shard-aware via [`MalaTarget`]); ~⅓ of
 //!   seeds draw zero tampers and double as false-alert controls.
 //!
-//! The verdict then runs **all three auditors** over the same state — the
-//! serial oracle, the parallel pipeline, and the streaming daemon — and the
-//! harness enforces:
+//! The verdict then runs **all three audit drivers** over the same state —
+//! a batch audit on one thread, one on two threads, and the streaming
+//! daemon (one audit core behind all three) — and the harness enforces:
 //!
 //! 1. **Verdict identity.** The three auditors agree on cleanliness,
 //!    violations, forensics, and the completeness hash, per engine (and on
@@ -297,7 +297,6 @@ impl Run {
             auditor_seed: [9u8; 32],
             fsync: false,
             worm_artifact_retention: None,
-            ..ComplianceConfig::default()
         };
         // Retention on the events relation: 20–180 virtual days.
         let retention = Duration::from_mins(rng.gen_range(20..180u64) * 1440);

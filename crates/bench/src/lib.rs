@@ -100,7 +100,6 @@ pub fn open_db(dir: &TempDir, mode: Mode, cache_pages: usize) -> (CompliantDb, A
             auditor_seed: [0xB0; 32],
             fsync: false,
             worm_artifact_retention: None,
-            ..ComplianceConfig::default()
         },
     )
     .unwrap();

@@ -287,7 +287,6 @@ pub fn run_schedule(seed: u64) -> Result<TortureOutcome, String> {
         auditor_seed: [7u8; 32],
         fsync: rng.gen_bool(0.15),
         worm_artifact_retention: None,
-        ..ComplianceConfig::default()
     };
     let dir = TempDir::new(&format!("torture-{seed}"));
     let clock = Arc::new(VirtualClock::ticking(Duration::from_micros(40)));
@@ -490,7 +489,6 @@ pub fn run_shard_schedule(seed: u64) -> Result<ShardTortureOutcome, String> {
         auditor_seed: [7u8; 32],
         fsync: false,
         worm_artifact_retention: None,
-        ..ComplianceConfig::default()
     };
     let dir = TempDir::new(&format!("shard-torture-{seed}"));
     let clock = Arc::new(VirtualClock::ticking(Duration::from_micros(40)));

@@ -28,52 +28,51 @@
 //!   parent/child separator consistency over every relation's tree — the
 //!   Figure 2 attacks.
 //!
-//! # Two execution strategies, one verdict
+//! # One core, three drivers
 //!
-//! The audit runs in one of two modes selected by [`AuditConfig`]:
+//! All of the above runs in exactly one place: the `state` submodule's
+//! `AuditState`, which is **seeded** from the previous snapshot, **ingests**
+//! `L` (chunked decode, a sequential status pre-scan, replay sharded by
+//! page-split-connected components, an `(offset, sub)`-ordered fold merge)
+//! and is **finalized** against the engine (WORM integrity, liveness,
+//! shreds, 2PC, WAL tail, then the final-state scan and tree checks as
+//! tasks on one pool). The drivers only decide *when* those are called:
 //!
-//! * the **serial oracle** ([`AuditConfig::serial`]) — the paper's literal
-//!   single pass over `L` and the trees, kept as an independent
-//!   implementation;
-//! * the **parallel pipeline** (default; the `parallel` submodule) — a
-//!   three-stage restructuring: (1) chunked decode of `L` plus a sharded
-//!   replay partitioned by page-split-connected components, joined by a
-//!   deterministic offset-ordered merge; (2) concurrent per-relation tree
-//!   verification over a shared raw buffer pool; (3) a parallel
-//!   `Df = Ds ∪ L` completeness join over per-shard ADD-HASH partial sums.
+//! * a **batch audit** ([`Auditor::audit`]) seeds, ingests the whole log,
+//!   and finalizes, on [`AuditConfig::audit_threads`] workers;
+//! * [`AuditConfig::serial`] is that same audit on one thread — every
+//!   fan-out then runs inline, in order: the paper's literal single pass;
+//! * the **streaming auditor** ([`stream::StreamAuditor`]) carries one state
+//!   per epoch, ingests the new tail of `L` on every poll, and finalizes
+//!   for a verdict without giving the state up.
 //!
-//! The per-record replay logic exists **once**, in [`Replayer`]: the serial
-//! oracle drives it with a sink that applies fold operations immediately,
-//! the parallel pipeline with a sink that records them for the deterministic
-//! merge. Both paths end in [`AuditReport`] canonicalization (findings
-//! sorted under a total order), and the differential/property suites in
-//! `tests/` assert that they produce byte-identical verdicts and finding
-//! sets on every state, tampered or clean, at every thread count and chunk
-//! size.
+//! Reports are canonicalized (findings sorted under a total order), and the
+//! differential/property suites in `tests/` assert byte-identical verdicts
+//! and finding sets at every thread count, chunk size, and poll cadence —
+//! which, with one core, checks that the result is invariant under
+//! partitioning and batching. The independent check of the core itself is
+//! the naive spec auditor in `tests/spec_audit`.
 
-mod parallel;
+mod state;
 pub mod stream;
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, OnceLock};
 
 use ccdb_btree::{check_tree, BTree, IntegrityError, TimeRank};
-use ccdb_common::sync::parallel_map;
 use ccdb_common::{ByteReader, ByteWriter, Duration, PageNo, RelId, Result, Timestamp, TxnId};
-use ccdb_crypto::{sha256, AddHash, Digest};
+use ccdb_crypto::{AddHash, Digest};
 use ccdb_engine::Engine;
-use ccdb_storage::{BufferPool, DiskManager, Page, PageStore, PageType, TupleVersion, WriteTime};
+use ccdb_storage::{BufferPool, DiskManager, Page, PageType, TupleVersion, WriteTime};
 use ccdb_worm::WormServer;
 
-use crate::logger::{
-    epoch_log_name, epoch_stamp_name, waltail_name, witness_name, StampIndexEntry,
-};
 use crate::migrate::MigratedPage;
-use crate::plugin::{hs_element_bytes, inner_hs};
-use crate::records::{LogIter, LogRecord, SplitSide};
+use crate::plugin::hs_element_bytes;
+use crate::records::LogRecord;
 use crate::shred::{Hold, HOLDS_RELATION};
-use crate::snapshot::{SnapPage, Snapshot, SnapshotManager};
+use crate::snapshot::{SnapPage, SnapshotManager};
+
+use state::{AuditState, PageState, ShredMap};
 
 /// A specific piece of tamper evidence (or audit-process failure).
 #[derive(Clone, Debug, PartialEq)]
@@ -255,13 +254,17 @@ pub enum Violation {
 }
 
 /// Timing and volume measurements (the audit-time table of Section VII-c).
+/// Every driver fills every field: a batch audit reports its one ingest, a
+/// streaming verdict the sum over the polls that ingested the epoch.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AuditStats {
-    /// Time to load + fold the previous snapshot (µs wall).
+    /// Seed: time to load + fold the previous snapshot (µs wall).
     pub snapshot_us: u64,
-    /// Time to scan `L` (µs wall).
+    /// Ingest: time to read, decode, replay and merge `L` (µs wall; the four
+    /// `log_*_us` stages below are its parts).
     pub log_scan_us: u64,
-    /// Time to scan + fold the final state (µs wall).
+    /// Finalize: final-state scan, completeness compare and tree checks
+    /// (µs wall).
     pub final_state_us: u64,
     /// Records scanned in `L`.
     pub records_scanned: u64,
@@ -273,36 +276,39 @@ pub struct AuditStats {
     pub tuples_final: u64,
     /// Pages in the new snapshot.
     pub snapshot_pages: u64,
-    /// Worker threads the audit actually used (1 for the serial oracle).
+    /// Worker threads the audit ran on (1 for [`AuditConfig::serial`]).
     pub threads_used: u64,
-    /// Decode chunks the parallel `L` scan was split into (0 when serial).
+    /// Decode chunks the `L` scan was split into.
     pub l_chunks: u64,
-    /// Parallel pipeline: frame-scan + chunked decode of `L` (µs wall).
+    /// Ingest: frame walk + chunked checksum/decode of `L` (µs wall).
     pub log_decode_us: u64,
-    /// Parallel pipeline: component routing + shred/undo precompute (µs).
+    /// Ingest: status pre-scan, shred/undo decisions and component routing
+    /// (µs; sequential).
     pub log_route_us: u64,
-    /// Parallel pipeline: sharded replay of `L` (µs wall across the pool).
+    /// Ingest: sharded replay of `L` (µs wall across the pool).
     pub log_replay_us: u64,
-    /// Parallel pipeline: deterministic merge of shard results (µs).
+    /// Ingest: merge of shard results and the ordered fold (µs; sequential).
     pub log_merge_us: u64,
-    /// Physical tree verification (µs; part of `final_state_us`).
+    /// Finalize: physical tree verification (µs summed over its pool tasks).
     pub tree_verify_us: u64,
-    /// The `Df = Ds ∪ L` completeness join: final-state fold + compare
-    /// against the replayed accumulator (µs; part of `final_state_us`).
+    /// Finalize: the `Df` side of the `Df = Ds ∪ L` completeness join — the
+    /// final-state scan, fold and page compare (µs summed over its pool
+    /// tasks; on one thread this and `tree_verify_us` add up to
+    /// `final_state_us`).
     pub completeness_join_us: u64,
     /// Snapshot tuples whose ADD-HASH fold was skipped because a sealed
     /// WORM checkpoint from the previous clean audit already attests the
     /// prefix (0 = the full snapshot was re-folded).
     pub snapshot_prefix_skipped: u64,
-    /// WAL-tail cross-check (µs wall; per-transaction presence probes fan
-    /// out on the worker pool in the parallel pipeline).
+    /// Finalize: WAL-tail cross-check (µs wall; the per-transaction presence
+    /// probes fan out on the pool).
     pub wal_tail_us: u64,
     /// Streaming auditor: records appended to `L` this epoch but not yet
     /// ingested by the stream at the last poll (0 for batch audits and for
     /// a fully caught-up stream).
     pub audit_lag_records: u64,
-    /// Streaming auditor: wall-clock µs the last poll spent catching up
-    /// (0 for batch audits).
+    /// Streaming auditor: wall-clock µs a verdict spent catching up and
+    /// finalizing (0 for batch audits).
     pub audit_lag_us: u64,
 }
 
@@ -383,16 +389,14 @@ pub struct AuditConfig {
     pub verify_reads: bool,
     /// Enforce witness-file continuity.
     pub check_witnesses: bool,
-    /// Run the single-pass serial oracle instead of the parallel pipeline.
-    pub serial: bool,
-    /// Worker threads for the parallel pipeline. `0` = auto (the machine's
-    /// available parallelism). Values above the core count still help when
-    /// the database lives on high-latency (emulated-remote) storage: the
-    /// final-state scan is I/O-bound and blocked readers overlap.
+    /// Worker threads for every fan-out of the audit. `0` = auto (the
+    /// machine's available parallelism); `1` runs each stage inline. Values
+    /// above the core count still help when the database lives on
+    /// high-latency (emulated-remote) storage: the final-state scan is
+    /// I/O-bound and blocked readers overlap.
     pub audit_threads: usize,
-    /// Records per decode chunk in the parallel `L` scan (the chunked
-    /// stage-1 fan-out granularity). Small values stress chunk boundaries;
-    /// the default amortizes dispatch overhead.
+    /// Records per decode chunk of the `L` scan. Small values stress chunk
+    /// boundaries; the default amortizes dispatch overhead.
     pub l_chunk_records: usize,
     /// Use sealed WORM replay checkpoints from prior clean audits to skip
     /// re-folding the snapshot prefix of the completeness hash. Disabled by
@@ -400,7 +404,7 @@ pub struct AuditConfig {
     pub use_checkpoints: bool,
 }
 
-/// Default decode-chunk size for the parallel `L` scan.
+/// Default decode-chunk size for the `L` scan.
 pub const DEFAULT_L_CHUNK_RECORDS: usize = 4096;
 
 impl Default for AuditConfig {
@@ -409,7 +413,6 @@ impl Default for AuditConfig {
             regret_interval: Duration::from_mins(5),
             verify_reads: true,
             check_witnesses: true,
-            serial: false,
             audit_threads: 0,
             l_chunk_records: DEFAULT_L_CHUNK_RECORDS,
             use_checkpoints: true,
@@ -418,20 +421,11 @@ impl Default for AuditConfig {
 }
 
 impl AuditConfig {
-    /// The serial oracle: the paper's literal single pass. The parallel
-    /// pipeline is proven against this configuration by the differential
-    /// suites.
+    /// The audit on one thread: every stage runs inline and in order, the
+    /// paper's literal single pass. The differential suites compare every
+    /// other thread count, chunk size and poll cadence against it.
     pub fn serial() -> AuditConfig {
-        AuditConfig { serial: true, audit_threads: 1, ..AuditConfig::default() }
-    }
-
-    /// Returns the config with the serial/pipeline switch set.
-    pub fn with_serial(mut self, serial: bool) -> AuditConfig {
-        self.serial = serial;
-        if serial {
-            self.audit_threads = 1;
-        }
-        self
+        AuditConfig { audit_threads: 1, ..AuditConfig::default() }
     }
 
     /// Returns the config with an explicit worker-thread count (0 = auto).
@@ -453,31 +447,13 @@ impl AuditConfig {
     }
 }
 
-/// The number of worker threads a config resolves to (1 for the oracle,
-/// `available_parallelism` for `audit_threads == 0`).
+/// The number of worker threads a config resolves to
+/// (`available_parallelism` for `audit_threads == 0`).
 fn effective_threads(config: &AuditConfig) -> usize {
-    if config.serial {
-        return 1;
-    }
     match config.audit_threads {
         0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         n => n,
     }
-}
-
-/// Replayed state of one page. (Some metadata fields are retained for
-/// forensic dumps and future checks even though the core audit path does
-/// not read them.)
-#[derive(Clone, Debug, Default)]
-#[allow(dead_code)]
-struct PageState {
-    rel: RelId,
-    kind: Option<PageType>,
-    historical: bool,
-    aux: u64,
-    /// Leaf: stored tuple versions. Inner: raw entry cells.
-    tuples: Vec<TupleVersion>,
-    cells: Vec<Vec<u8>>,
 }
 
 /// The auditor.
@@ -504,6 +480,22 @@ fn fold_identity(t: &TupleVersion, commit: Timestamp) -> Vec<u8> {
     let mut b = t.canonical_bytes_with_time(commit);
     b.extend_from_slice(&t.seq.to_le_bytes());
     b
+}
+
+/// A version's commit time: its own, or its transaction's `STAMP_TRANS`.
+fn commit_time(t: &TupleVersion, stamps: &HashMap<TxnId, (Timestamp, u64)>) -> Option<Timestamp> {
+    match t.time {
+        WriteTime::Committed(ct) => Some(ct),
+        WriteTime::Pending(txn) => stamps.get(&txn).map(|(ct, _)| *ct),
+    }
+}
+
+/// `CCDB_AUDIT_DEBUG=1` dumps the replayed record stream with offsets, and
+/// both sides of every mismatch — the fastest way to localize an audit
+/// divergence when replaying a torture seed.
+fn audit_debug() -> bool {
+    static DEBUG: OnceLock<bool> = OnceLock::new();
+    *DEBUG.get_or_init(|| std::env::var("CCDB_AUDIT_DEBUG").is_ok())
 }
 
 /// A tuple resolved for comparison: `(key, seq, commit-or-pending, eol, value)`.
@@ -534,525 +526,13 @@ pub fn audit_ckpt_name(epoch: u64) -> String {
 const CKPT_MAGIC: u64 = 0xCCDB_AC99;
 
 // ---------------------------------------------------------------------------
-// Shared replay machinery (one implementation, two sinks)
-// ---------------------------------------------------------------------------
-
-/// `(rel, key, start) → (shred_time, consumed seqs)` — the `SHREDDED`
-/// bookkeeping both auditors share. Consumption is tracked **per version
-/// seq**: a transaction may write the same key several times at one commit
-/// instant (same `(rel, key, start)`, distinct seqs), and the vacuum shreds
-/// each version with its own `UNDO`. Keying consumption by seq folds every
-/// distinct version out of the completeness accumulator while still
-/// tolerating byte-identical crash-recovery replays of the same `UNDO`
-/// (same seq → duplicate).
-type ShredMap = BTreeMap<(RelId, Vec<u8>, Timestamp), (Timestamp, HashSet<u16>)>;
-
-/// A deferred mutation of the completeness accumulator. The serial oracle
-/// applies these immediately; the parallel pipeline records them per shard
-/// and applies them in `(offset, sub)` order during the deterministic merge
-/// — membership (`seen`) semantics are order-sensitive, so replaying the
-/// exact serial order is what makes the two verdicts identical.
-#[derive(Clone, Debug)]
-enum FoldOp {
-    /// `if seen.insert(id) { acc.add(&id) }`.
-    AddIfNew(Vec<u8>),
-    /// `if seen.remove(&id) { acc.remove(&id) }`.
-    RemoveIfSeen(Vec<u8>),
-}
-
-/// Applies one fold op against the global membership set + accumulator.
-fn apply_fold_op(seen: &mut HashSet<Vec<u8>>, acc: &mut AddHash, op: FoldOp) {
-    match op {
-        FoldOp::AddIfNew(id) => {
-            if seen.insert(id.clone()) {
-                acc.add(&id);
-            }
-        }
-        FoldOp::RemoveIfSeen(id) => {
-            if seen.remove(&id) {
-                acc.remove(&id);
-            }
-        }
-    }
-}
-
-/// What an `UNDO` of a committed version found in the shred book.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ShredConsume {
-    /// First consumption of a live `SHREDDED` entry (the version leaves the
-    /// completeness universe).
-    First,
-    /// The entry was already consumed (crash-recovery duplicate; tolerated).
-    Duplicate,
-    /// No matching `SHREDDED` entry — the undo is unjustified.
-    NotFound,
-}
-
-/// The strategy half of the replay: where fold ops go and how shred
-/// consumption is decided. [`Replayer`] holds the per-record logic once;
-/// implementations of this trait make it serial or sharded.
-trait ReplaySink {
-    /// Record (or apply) a completeness-fold operation emitted at `off`.
-    fn fold(&mut self, off: u64, op: FoldOp);
-    /// Decide/perform consumption of a `SHREDDED` entry by an `UNDO` at
-    /// `off` for the version `(rel, key, ct, seq)`.
-    fn consume_shred(
-        &mut self,
-        off: u64,
-        rel: RelId,
-        key: &[u8],
-        ct: Timestamp,
-        seq: u16,
-    ) -> ShredConsume;
-    /// A `SHREDDED` record was replayed.
-    fn shredded(&mut self, off: u64, rel: RelId, key: Vec<u8>, start: Timestamp, shred: Timestamp);
-    /// A `START_RECOVERY` record was replayed.
-    fn recovery(&mut self, off: u64, time: Timestamp);
-}
-
-/// The serial oracle's sink: owns the global membership set, accumulator,
-/// shred book, and recovery windows, mutating them in log order.
-struct SerialSink {
-    seen: HashSet<Vec<u8>>,
-    acc: AddHash,
-    shreds: ShredMap,
-    recovery_windows: Vec<(u64, Timestamp)>,
-}
-
-impl ReplaySink for SerialSink {
-    fn fold(&mut self, _off: u64, op: FoldOp) {
-        apply_fold_op(&mut self.seen, &mut self.acc, op);
-    }
-
-    fn consume_shred(
-        &mut self,
-        _off: u64,
-        rel: RelId,
-        key: &[u8],
-        ct: Timestamp,
-        seq: u16,
-    ) -> ShredConsume {
-        match self.shreds.get_mut(&(rel, key.to_vec(), ct)) {
-            Some(entry) => {
-                if entry.1.insert(seq) {
-                    ShredConsume::First
-                } else {
-                    ShredConsume::Duplicate
-                }
-            }
-            None => ShredConsume::NotFound,
-        }
-    }
-
-    fn shredded(
-        &mut self,
-        _off: u64,
-        rel: RelId,
-        key: Vec<u8>,
-        start: Timestamp,
-        shred: Timestamp,
-    ) {
-        let entry = self.shreds.entry((rel, key, start)).or_insert((shred, HashSet::new()));
-        entry.0 = shred;
-    }
-
-    fn recovery(&mut self, off: u64, time: Timestamp) {
-        self.recovery_windows.push((off, time));
-    }
-}
-
-/// The single shared implementation of per-record replay. Both auditors
-/// construct one of these (over the whole log, or over one shard's slice)
-/// and feed it `(offset, record)` pairs in offset order.
-struct Replayer<'a, S: ReplaySink> {
-    worm: &'a WormServer,
-    stamps: &'a HashMap<TxnId, (Timestamp, u64)>,
-    aborts: &'a HashMap<TxnId, u64>,
-    verify_reads: bool,
-    debug: bool,
-    states: HashMap<PageNo, PageState>,
-    migrated: HashSet<PageNo>,
-    migrated_versions: HashSet<(RelId, Vec<u8>, Timestamp)>,
-    violations: Vec<Violation>,
-    reads_verified: u64,
-    sink: S,
-}
-
-impl<'a, S: ReplaySink> Replayer<'a, S> {
-    fn new(
-        worm: &'a WormServer,
-        stamps: &'a HashMap<TxnId, (Timestamp, u64)>,
-        aborts: &'a HashMap<TxnId, u64>,
-        verify_reads: bool,
-        debug: bool,
-        states: HashMap<PageNo, PageState>,
-        sink: S,
-    ) -> Self {
-        Replayer {
-            worm,
-            stamps,
-            aborts,
-            verify_reads,
-            debug,
-            states,
-            migrated: HashSet::new(),
-            migrated_versions: HashSet::new(),
-            violations: Vec::new(),
-            reads_verified: 0,
-            sink,
-        }
-    }
-
-    /// Replays one record at offset `off`.
-    fn replay(&mut self, off: u64, rec: LogRecord) {
-        match rec {
-            LogRecord::NewTuple { pgno, rel, cell } => {
-                let t = match TupleVersion::decode_cell(&cell) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        self.violations.push(Violation::LogUnreadable {
-                            reason: format!("NEW_TUPLE cell at {off}: {e}"),
-                        });
-                        return;
-                    }
-                };
-                // Resolve the commit time (the auditor "must replace any
-                // transaction ID by the commit time").
-                let resolved = match t.time {
-                    WriteTime::Committed(ct) => Some(ct),
-                    WriteTime::Pending(txn) => self.stamps.get(&txn).map(|(ct, _)| *ct),
-                };
-                let aborted =
-                    t.time.pending().map(|txn| self.aborts.contains_key(&txn)).unwrap_or(false);
-                if let Some(ct) = resolved {
-                    self.sink.fold(off, FoldOp::AddIfNew(fold_identity(&t, ct)));
-                } else if !aborted {
-                    if let Some(txn) = t.time.pending() {
-                        self.violations.push(Violation::UnstampedTransaction { txn });
-                    }
-                }
-                // Page state: the physical tuple (stored form) joins the
-                // page unless this NEW_TUPLE is a recovery duplicate of
-                // something already there.
-                let st = self.states.entry(pgno).or_insert_with(|| PageState {
-                    rel,
-                    kind: Some(PageType::Leaf),
-                    ..PageState::default()
-                });
-                if !st.tuples.iter().any(|e| e.key == t.key && e.seq == t.seq) {
-                    st.tuples.push(t);
-                }
-            }
-            LogRecord::Undo { pgno, rel: _, cell } => {
-                let t = match TupleVersion::decode_cell(&cell) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        self.violations.push(Violation::LogUnreadable {
-                            reason: format!("UNDO cell at {off}: {e}"),
-                        });
-                        return;
-                    }
-                };
-                let justified = match t.time {
-                    WriteTime::Pending(txn) => self.aborts.contains_key(&txn),
-                    WriteTime::Committed(ct) => {
-                        match self.sink.consume_shred(off, t.rel, &t.key, ct, t.seq) {
-                            ShredConsume::First => {
-                                // The shredded version leaves the
-                                // completeness universe.
-                                self.sink.fold(off, FoldOp::RemoveIfSeen(fold_identity(&t, ct)));
-                                true
-                            }
-                            ShredConsume::Duplicate => true,
-                            ShredConsume::NotFound => false,
-                        }
-                    }
-                };
-                if !justified {
-                    self.violations.push(Violation::UnjustifiedUndo { pgno });
-                }
-                if let Some(st) = self.states.get_mut(&pgno) {
-                    if let Some(pos) =
-                        st.tuples.iter().position(|e| e.key == t.key && e.seq == t.seq)
-                    {
-                        st.tuples.remove(pos);
-                    }
-                    // Absent: a duplicate UNDO from crash recovery — the
-                    // paper tolerates these.
-                }
-            }
-            LogRecord::Read { pgno, hs } => {
-                if self.verify_reads {
-                    let expect = match self.states.get(&pgno) {
-                        Some(st) if st.kind == Some(PageType::Inner) => {
-                            inner_hs(st.cells.iter().map(|c| c.as_slice()))
-                        }
-                        Some(st) => leaf_read_hash(&st.tuples, self.stamps, off),
-                        None => leaf_read_hash(&[], self.stamps, off),
-                    };
-                    if expect != hs {
-                        if self.debug {
-                            eprintln!(
-                                "AUDIT MISMATCH {off} pg={pgno:?} replayed tuples {:?}",
-                                self.states.get(&pgno).map(|st| st
-                                    .tuples
-                                    .iter()
-                                    .map(|t| (t.key.clone(), t.seq, t.time))
-                                    .collect::<Vec<_>>())
-                            );
-                        }
-                        self.violations.push(Violation::ReadHashMismatch { pgno, offset: off });
-                    }
-                    self.reads_verified += 1;
-                }
-            }
-            LogRecord::PageSplit { old, rel, left, right, intermediates } => {
-                let old_state = self.states.remove(&old).unwrap_or_default();
-                let is_leaf = !matches!(old_state.kind, Some(PageType::Inner));
-                if is_leaf {
-                    // Union check on resolved tuples.
-                    let stamps = self.stamps;
-                    let mut input: Vec<ResolvedTuple> =
-                        old_state.tuples.iter().map(|t| resolve_tuple(t, stamps)).collect();
-                    let mut inters = Vec::new();
-                    for c in &intermediates {
-                        match TupleVersion::decode_cell(c) {
-                            Ok(t) => {
-                                input.push(resolve_tuple(&t, stamps));
-                                inters.push(t);
-                            }
-                            Err(e) => self.violations.push(Violation::LogUnreadable {
-                                reason: format!("split intermediate at {off}: {e}"),
-                            }),
-                        }
-                    }
-                    let mut output: Vec<ResolvedTuple> = Vec::new();
-                    let mut install =
-                        |side: &SplitSide, states: &mut HashMap<PageNo, PageState>| -> Result<()> {
-                            let mut st = PageState {
-                                rel,
-                                kind: Some(PageType::Leaf),
-                                historical: side.historical,
-                                ..PageState::default()
-                            };
-                            for c in &side.cells {
-                                let t = TupleVersion::decode_cell(c)?;
-                                output.push(resolve_tuple(&t, stamps));
-                                st.tuples.push(t);
-                            }
-                            states.insert(side.pgno, st);
-                            Ok(())
-                        };
-                    if install(&left, &mut self.states).is_err()
-                        || install(&right, &mut self.states).is_err()
-                    {
-                        self.violations.push(Violation::SplitMismatch { old });
-                    } else {
-                        input.sort();
-                        output.sort();
-                        if input != output {
-                            if self.debug {
-                                let only_in: Vec<_> =
-                                    input.iter().filter(|x| !output.contains(x)).collect();
-                                let only_out: Vec<_> =
-                                    output.iter().filter(|x| !input.contains(x)).collect();
-                                eprintln!("SPLIT MISMATCH old={old:?} in-not-out={only_in:?} out-not-in={only_out:?}");
-                            }
-                            self.violations.push(Violation::SplitMismatch { old });
-                        }
-                    }
-                    // Intermediates are genuinely new tuples.
-                    for t in inters {
-                        if let WriteTime::Committed(ct) = t.time {
-                            self.sink.fold(off, FoldOp::AddIfNew(fold_identity(&t, ct)));
-                        } else {
-                            self.violations.push(Violation::SplitMismatch { old });
-                        }
-                    }
-                } else {
-                    // Inner split: the record's content is authoritative.
-                    // (The tree rebuilds a parent's entry list in memory
-                    // — remove one child entry, add two — and splits the
-                    // *modified* list, so the physical input page never
-                    // holds the split's exact input; a union check would
-                    // be vacuous. Index integrity is enforced by the
-                    // final-state comparison plus the physical
-                    // parent/child checks, which is where the Figure 2(c)
-                    // attack is caught.)
-                    let _ = old_state;
-                    for side in [&left, &right] {
-                        self.states.insert(
-                            side.pgno,
-                            PageState {
-                                rel,
-                                kind: Some(PageType::Inner),
-                                cells: side.cells.clone(),
-                                ..PageState::default()
-                            },
-                        );
-                    }
-                }
-            }
-            LogRecord::IndexInsert { pgno, cell } => {
-                let st = self.states.entry(pgno).or_insert_with(|| PageState {
-                    kind: Some(PageType::Inner),
-                    ..PageState::default()
-                });
-                // Crash recovery regenerates index records at the next
-                // pwrite; duplicates are skipped (entries are unique).
-                if !st.cells.contains(&cell) {
-                    let pos = st
-                        .cells
-                        .iter()
-                        .position(|c| entry_order(c) > entry_order(&cell))
-                        .unwrap_or(st.cells.len());
-                    st.cells.insert(pos, cell);
-                }
-            }
-            LogRecord::IndexRemove { pgno, cell } => {
-                // Absent entries are tolerated (duplicate removals from
-                // recovery); real index tampering is caught by the
-                // final-state comparison.
-                if let Some(st) = self.states.get_mut(&pgno) {
-                    if let Some(pos) = st.cells.iter().position(|c| *c == cell) {
-                        st.cells.remove(pos);
-                    }
-                }
-            }
-            LogRecord::NewRoot { rel: _, pgno, cells } => {
-                self.states.entry(pgno).or_insert_with(|| PageState {
-                    kind: Some(PageType::Inner),
-                    cells,
-                    ..PageState::default()
-                });
-            }
-            LogRecord::IndexImage { pgno, cells } => {
-                // Post-recovery authoritative content: crash recovery
-                // rebuilt this internal page from WAL images, and the entry
-                // deltas between its creation record and the crash were
-                // never logged. The image *replaces* the replayed state —
-                // in particular it retracts stale entries (e.g. a child
-                // since supplanted by a time split) that no logged
-                // INDEX_REMOVE ever covered.
-                let rel = self.states.get(&pgno).map(|st| st.rel).unwrap_or_default();
-                self.states.insert(
-                    pgno,
-                    PageState { rel, kind: Some(PageType::Inner), cells, ..PageState::default() },
-                );
-            }
-            LogRecord::Migrate { pgno, rel, worm_file, content_hash } => {
-                let prior = self.states.remove(&pgno);
-                // A MIGRATE for a page this replay has *no state for* can
-                // only honestly be a re-assertion of a migration verified
-                // in a sealed epoch: a page live at the seal is in the
-                // snapshot, and a page born in the tail has tail records —
-                // only one already migrated (and thus already strictly
-                // verified copy-vs-state) replays as unknown.
-                let reassert = self.migrated.contains(&pgno) || prior.is_none();
-                let st = prior.unwrap_or_default();
-                match self.worm.read_all(&worm_file).and_then(|b| MigratedPage::decode(&b)) {
-                    Ok(mp) => {
-                        let stored_hash = crate::plugin::page_content_hash(&mp.cells);
-                        let mut copy: Vec<ResolvedTuple> = Vec::new();
-                        let mut ok = stored_hash == content_hash;
-                        for c in &mp.cells {
-                            match TupleVersion::decode_cell(c) {
-                                Ok(t) => copy.push(resolve_tuple(&t, self.stamps)),
-                                Err(_) => ok = false,
-                            }
-                        }
-                        let mut orig: Vec<ResolvedTuple> =
-                            st.tuples.iter().map(|t| resolve_tuple(t, self.stamps)).collect();
-                        copy.sort();
-                        orig.sort();
-                        // A crash between a MIGRATE's flush and its retire
-                        // becoming durable makes the next migration pass
-                        // *re-assert* the migration. The copy was verified
-                        // strictly when the first MIGRATE replayed; the
-                        // re-assertion's state may hold nothing (the
-                        // retire was the only loss) or the page's content
-                        // again (the crash also lost the page bytes and
-                        // the resurrected page's re-emitted records are
-                        // retracted below) — either way it must not exceed
-                        // the verified copy.
-                        let matches = if reassert {
-                            orig.iter().all(|t| copy.binary_search(t).is_ok())
-                        } else {
-                            copy == orig
-                        };
-                        if !ok || !matches {
-                            self.violations.push(Violation::MigrationMismatch { pgno });
-                        } else {
-                            // Verified: the page's tuples leave the
-                            // auditing universe.
-                            for t in &st.tuples {
-                                let ct = match t.time {
-                                    WriteTime::Committed(ct) => Some(ct),
-                                    WriteTime::Pending(txn) => {
-                                        self.stamps.get(&txn).map(|(c, _)| *c)
-                                    }
-                                };
-                                if let Some(ct) = ct {
-                                    self.sink.fold(off, FoldOp::RemoveIfSeen(fold_identity(t, ct)));
-                                    self.migrated_versions.insert((rel, t.key.clone(), ct));
-                                }
-                            }
-                            self.migrated.insert(pgno);
-                        }
-                    }
-                    Err(e) => {
-                        self.violations.push(Violation::MigrationMismatch { pgno });
-                        let _ = (e, rel);
-                    }
-                }
-            }
-            LogRecord::Shredded { rel, key, start_time, pgno: _, content_hash: _, shred_time } => {
-                self.sink.shredded(off, rel, key, start_time, shred_time);
-            }
-            LogRecord::StartRecovery { time } => {
-                self.sink.recovery(off, time);
-            }
-            // Status and 2PC records carry no page traffic; they are
-            // collected in the sequential passes (stamp index / TwoPcBook)
-            // and judged by the dedicated checks.
-            LogRecord::StampTrans { .. }
-            | LogRecord::Abort { .. }
-            | LogRecord::DummyStamp { .. }
-            | LogRecord::TwoPcPrepare { .. }
-            | LogRecord::TwoPcDecision { .. } => {}
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shared phase state
-// ---------------------------------------------------------------------------
-
-/// Phase A output: the replayed snapshot pages plus the completeness-fold
-/// starting point (`acc` over the snapshot's committed tuples, `seen` their
-/// fold identities).
-struct SnapFold {
-    states: HashMap<PageNo, PageState>,
-    acc: AddHash,
-    seen: HashSet<Vec<u8>>,
-}
-
-/// Phase B output: the epoch's transaction-status book.
-struct StampIndex {
-    stamps: HashMap<TxnId, (Timestamp, u64)>,
-    aborts: HashMap<TxnId, u64>,
-    liveness: Vec<(Timestamp, u64)>,
-}
-
-// ---------------------------------------------------------------------------
 // Cross-shard 2PC book
 // ---------------------------------------------------------------------------
 
 /// One shard's view of the cross-shard 2PC traffic in its log: every
-/// `2PC_PREPARE` and `2PC_DECISION` record, collected in a sequential pass
-/// (the records are global-ordering facts, like status records, so all
-/// three audit strategies gather them the same way and feed the same
-/// checks). Exposed on [`AuditOutcome`] so a deployment-level auditor can
+/// `2PC_PREPARE` and `2PC_DECISION` record, collected by the ingest's
+/// sequential pre-scan (the records are global-ordering facts, like status
+/// records). Exposed on [`AuditOutcome`] so a deployment-level auditor can
 /// join the books of all shards and catch decisions that diverge *between*
 /// shards even when each shard is locally consistent.
 #[derive(Clone, Debug, Default)]
@@ -1103,8 +583,7 @@ impl TwoPcBook {
     }
 }
 
-/// The per-shard 2PC discipline, shared by all three audit strategies:
-/// every prepare must have a decision, every decision a prepare, no
+/// The per-shard 2PC discipline: every prepare must have a decision, every decision a prepare, no
 /// conflicting decisions, and the decision must agree with the
 /// participant's actual outcome (stamped iff decided-commit).
 fn two_pc_checks(
@@ -1162,9 +641,8 @@ pub fn two_pc_cross_shard_join(books: &[TwoPcBook]) -> Vec<Violation> {
     divergent.into_iter().map(|gtxn| Violation::TwoPcDivergentDecision { gtxn }).collect()
 }
 
-/// Accumulator for the final-state scan (phase D): partial completeness
-/// fold, page-compare violations, forensics, and snapshot material. The
-/// serial oracle uses one over all pages; the parallel pipeline one per
+/// Accumulator for the final-state scan: partial completeness fold,
+/// page-compare violations, forensics, and snapshot material. One per
 /// page-range task, merged in range order (ADD-HASH addition is
 /// grouping-independent, so `h_final` is byte-identical).
 struct FinalScan {
@@ -1245,19 +723,11 @@ fn scan_final_page(
                 }
             }
             for t in &tuples {
-                let ct = match t.time {
-                    WriteTime::Committed(ct) => Some(ct),
-                    WriteTime::Pending(txn) => {
-                        let r = stamps.get(&txn).map(|(c, _)| *c);
-                        if r.is_none() {
-                            out.violations.push(Violation::UnstampedTransaction { txn });
-                        }
-                        r
-                    }
-                };
-                if let Some(ct) = ct {
+                if let Some(ct) = commit_time(t, stamps) {
                     out.h_final.add(&fold_identity(t, ct));
                     out.tuples_final += 1;
+                } else if let WriteTime::Pending(txn) = t.time {
+                    out.violations.push(Violation::UnstampedTransaction { txn });
                 }
             }
             // Replay comparison, with per-tuple forensic diffing on
@@ -1321,7 +791,7 @@ fn scan_final_page(
                 a.sort();
                 b.sort();
                 if a != b {
-                    if std::env::var("CCDB_AUDIT_DEBUG").is_ok() {
+                    if audit_debug() {
                         let only_disk: Vec<_> = a.iter().filter(|c| !b.contains(c)).collect();
                         let only_replay: Vec<_> = b.iter().filter(|c| !a.contains(c)).collect();
                         eprintln!(
@@ -1390,12 +860,31 @@ fn check_relation_tree(engine: &Engine, raw_pool: &Arc<BufferPool>, rel: RelId) 
 }
 
 /// Canonicalizes a report: findings are sorted under a total (Debug-string)
-/// order, so the parallel pipeline and the serial oracle — and any two runs
-/// of either — yield byte-identical reports. (`HashMap` iteration otherwise
-/// leaks nondeterministic ordering into several phases.)
+/// order, so any two runs — at any thread count, batch or streaming — yield
+/// byte-identical reports. (`HashMap` iteration and shard order otherwise
+/// leak nondeterministic ordering into several phases.)
 fn canonicalize(report: &mut AuditReport) {
     report.violations.sort_by_cached_key(|x| format!("{x:?}"));
     report.forensics.sort_by_cached_key(|x| format!("{x:?}"));
+}
+
+/// WORM device integrity. Before trusting any artifact, confirm each live
+/// WORM file's backing store is at least as long as its trusted metadata
+/// says. A short backing file means acknowledged bytes were destroyed (tail
+/// truncation) — the named violation a compliance officer acts on, as
+/// opposed to an unreadable-log I/O error.
+fn worm_integrity(worm: &WormServer, v: &mut Vec<Violation>) {
+    for (name, meta) in worm.list("") {
+        if let Ok(backing) = worm.backing_len(&name) {
+            if backing < meta.len {
+                v.push(Violation::WormTruncated {
+                    file: name,
+                    trusted_len: meta.len,
+                    backing_len: backing,
+                });
+            }
+        }
+    }
 }
 
 fn shred_legality(engine: &Engine, shreds: &ShredMap, v: &mut Vec<Violation>) {
@@ -1452,449 +941,12 @@ impl Auditor {
     /// previous snapshot and the epoch's compliance log. The engine must be
     /// quiescent (checkpointed, no active transactions); the auditor reads
     /// the final state from raw disk, bypassing the buffer cache and plugin.
-    ///
-    /// Dispatches to the serial oracle or the parallel pipeline per the
-    /// config; either way the report comes back canonicalized, so verdicts
-    /// and finding sets are directly comparable across strategies.
+    /// The report comes back canonicalized, so verdicts and finding sets
+    /// are directly comparable across thread counts and drivers.
     pub fn audit(&self, engine: &Engine, epoch: u64) -> Result<AuditOutcome> {
-        let mut outcome = if self.config.serial {
-            self.audit_serial(engine, epoch)?
-        } else {
-            parallel::audit_parallel(self, engine, epoch)?
-        };
-        canonicalize(&mut outcome.report);
-        Ok(outcome)
-    }
-
-    /// The paper's literal single pass (the oracle the parallel pipeline is
-    /// differentially tested against).
-    fn audit_serial(&self, engine: &Engine, epoch: u64) -> Result<AuditOutcome> {
-        let mut v: Vec<Violation> = Vec::new();
-        let mut stats = AuditStats { threads_used: 1, ..AuditStats::default() };
-
-        self.phase0_worm_integrity(&mut v);
-
-        // --- Phase A: previous snapshot -----------------------------------
-        let t0 = Instant::now();
-        let snap = self.phase_a_snapshot(epoch, &mut v, &mut stats);
-        stats.snapshot_us = t0.elapsed().as_micros() as u64;
-
-        // --- Phase B: stamp index ------------------------------------------
-        let idx = self.phase_b_stamp_index(epoch, &mut v);
-
-        // --- Phase C: main scan over L --------------------------------------
-        let t1 = Instant::now();
-        let log_bytes = match self.worm.read_all(&epoch_log_name(epoch)) {
-            Ok(b) => b,
-            Err(e) => {
-                // A truncated or checksum-divergent log is itself evidence;
-                // audit what can still be audited instead of erroring out.
-                v.push(Violation::LogUnreadable { reason: e.to_string() });
-                Vec::new()
-            }
-        };
-        stats.log_bytes = log_bytes.len() as u64;
-
-        // `CCDB_AUDIT_DEBUG=1` dumps the replayed record stream with offsets
-        // — the fastest way to localize an audit divergence when replaying a
-        // torture seed.
-        let debug = std::env::var("CCDB_AUDIT_DEBUG").is_ok();
-        let sink = SerialSink {
-            seen: snap.seen,
-            acc: snap.acc,
-            shreds: ShredMap::new(),
-            recovery_windows: Vec::new(),
-        };
-        let mut rp = Replayer::new(
-            &self.worm,
-            &idx.stamps,
-            &idx.aborts,
-            self.config.verify_reads,
-            debug,
-            snap.states,
-            sink,
-        );
-        let mut two_pc = TwoPcBook::default();
-        for item in LogIter::new(&log_bytes) {
-            let (off, rec) = match item {
-                Ok(x) => x,
-                Err(e) => {
-                    rp.violations.push(Violation::LogUnreadable { reason: e.to_string() });
-                    break;
-                }
-            };
-            stats.records_scanned += 1;
-            if debug {
-                let d = format!("{rec:?}");
-                eprintln!("AUDIT {off}: {}", &d[..d.len().min(160)]);
-            }
-            two_pc.ingest(off, &rec);
-            rp.replay(off, rec);
-        }
-        stats.log_scan_us = t1.elapsed().as_micros() as u64;
-        stats.reads_verified = rp.reads_verified;
-        let Replayer { states, migrated, migrated_versions, violations, sink, .. } = rp;
-        v.extend(violations);
-        let SerialSink { seen: _, acc, shreds, recovery_windows } = sink;
-        let _ = &recovery_windows;
-        let _ = migrated;
-
-        // --- Liveness discipline ------------------------------------------
-        let mut liveness = idx.liveness;
-        self.liveness_and_witness(epoch, &mut liveness, &mut v);
-
-        // --- Shred legality -----------------------------------------------
-        shred_legality(engine, &shreds, &mut v);
-
-        // --- 2PC discipline -----------------------------------------------
-        two_pc_checks(&two_pc, &idx.stamps, &mut v);
-
-        // --- WAL-tail cross-check -----------------------------------------
-        let tw = Instant::now();
-        self.wal_tail_check(engine, epoch, &idx.stamps, &shreds, &migrated_versions, 1, &mut v);
-        stats.wal_tail_us = tw.elapsed().as_micros() as u64;
-
-        // --- Phase D: final state -----------------------------------------
-        let t2 = Instant::now();
-        let disk = engine.disk();
-        let mut scan = FinalScan::new();
-        for i in 0..disk.page_count() {
-            scan_final_page(disk, &self.worm, PageNo(i), &states, &idx.stamps, &mut scan)?;
-        }
-        let FinalScan { h_final, tuples_final, violations: dv, forensics, snapshot_pages } = scan;
-        v.extend(dv);
-        stats.tuples_final = tuples_final;
-        leftover_states_check(&states, &migrated, disk.page_count(), &mut v);
-        if acc != h_final {
-            v.push(Violation::CompletenessMismatch);
-        }
-        stats.completeness_join_us = t2.elapsed().as_micros() as u64;
-        // Physical tree integrity (Figure 2 checks) over a fresh raw pool.
-        let t3 = Instant::now();
-        {
-            let raw_pool = Arc::new(BufferPool::new(
-                disk.clone() as Arc<dyn PageStore>,
-                engine.clock().clone(),
-                1024,
-            ));
-            for (_name, rel) in engine.user_relations() {
-                v.extend(check_relation_tree(engine, &raw_pool, rel));
-            }
-        }
-        stats.tree_verify_us = t3.elapsed().as_micros() as u64;
-        stats.final_state_us = t2.elapsed().as_micros() as u64;
-        stats.snapshot_pages = snapshot_pages.len() as u64;
-
-        Ok(AuditOutcome {
-            report: AuditReport { epoch, violations: v, forensics, stats },
-            snapshot_pages,
-            tuple_hash: h_final,
-            two_pc,
-        })
-    }
-
-    /// Phase 0: WORM device integrity. Before trusting any artifact,
-    /// confirm each live WORM file's backing store is at least as long as
-    /// its trusted metadata says. A short backing file means acknowledged
-    /// bytes were destroyed (tail truncation) — the named violation a
-    /// compliance officer acts on, as opposed to an unreadable-log I/O
-    /// error.
-    fn phase0_worm_integrity(&self, v: &mut Vec<Violation>) {
-        for (name, meta) in self.worm.list("") {
-            if let Ok(backing) = self.worm.backing_len(&name) {
-                if backing < meta.len {
-                    v.push(Violation::WormTruncated {
-                        file: name,
-                        trusted_len: meta.len,
-                        backing_len: backing,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Phase A: loads the previous snapshot and folds its committed tuples
-    /// into the completeness starting point. When a sealed replay
-    /// checkpoint from the previous clean audit attests the snapshot's
-    /// tuple hash, the per-tuple ADD-HASH fold (and the fold-vs-stored
-    /// comparison it feeds) is skipped — the membership set and page states
-    /// are still built in full, so replay semantics are unchanged. Sound
-    /// because `snapshots.load` signature-verifies the stored hash and the
-    /// checkpoint was sealed only after a clean audit compared content
-    /// against it.
-    fn phase_a_snapshot(
-        &self,
-        epoch: u64,
-        v: &mut Vec<Violation>,
-        stats: &mut AuditStats,
-    ) -> SnapFold {
-        let prev: Option<Snapshot> = if epoch == 0 {
-            None
-        } else {
-            match self.snapshots.load(epoch - 1) {
-                Ok(s) => s,
-                Err(e) => {
-                    v.push(Violation::SnapshotInvalid { reason: e.to_string() });
-                    None
-                }
-            }
-        };
-        let mut states: HashMap<PageNo, PageState> = HashMap::new();
-        let mut acc = AddHash::new();
-        let mut seen: HashSet<Vec<u8>> = HashSet::new();
-        if let Some(snap) = &prev {
-            let sealed = self.config.use_checkpoints
-                && epoch > 0
-                && self.load_checkpoint(epoch - 1).is_some_and(|h| h == snap.tuple_hash);
-            let mut folded = AddHash::new();
-            for p in &snap.pages {
-                let mut st = PageState {
-                    rel: p.rel,
-                    kind: Some(p.kind),
-                    historical: p.historical,
-                    aux: p.aux,
-                    ..PageState::default()
-                };
-                match p.kind {
-                    PageType::Leaf => {
-                        for cell in &p.cells {
-                            match TupleVersion::decode_cell(cell) {
-                                Ok(t) => {
-                                    match t.time {
-                                        WriteTime::Committed(ct) => {
-                                            let id = fold_identity(&t, ct);
-                                            if sealed {
-                                                stats.snapshot_prefix_skipped += 1;
-                                            } else {
-                                                folded.add(&id);
-                                            }
-                                            seen.insert(id);
-                                        }
-                                        WriteTime::Pending(txn) => {
-                                            v.push(Violation::UnstampedTransaction { txn });
-                                        }
-                                    }
-                                    st.tuples.push(t);
-                                }
-                                Err(e) => v.push(Violation::BadPage {
-                                    pgno: p.pgno,
-                                    reason: format!("snapshot cell: {e}"),
-                                }),
-                            }
-                        }
-                    }
-                    _ => st.cells = p.cells.clone(),
-                }
-                states.insert(p.pgno, st);
-            }
-            if sealed {
-                acc = snap.tuple_hash;
-            } else {
-                if folded != snap.tuple_hash {
-                    v.push(Violation::SnapshotInvalid {
-                        reason: "stored snapshot hash disagrees with snapshot content".into(),
-                    });
-                }
-                acc = folded;
-            }
-        }
-        SnapFold { states, acc, seen }
-    }
-
-    /// Phase B: decodes the epoch's stamp index into the status book and
-    /// flags conflicting status records.
-    fn phase_b_stamp_index(&self, epoch: u64, v: &mut Vec<Violation>) -> StampIndex {
-        let mut stamps: HashMap<TxnId, (Timestamp, u64)> = HashMap::new();
-        let mut aborts: HashMap<TxnId, u64> = HashMap::new();
-        let mut liveness: Vec<(Timestamp, u64)> = Vec::new();
-        match self.worm.read_all(&epoch_stamp_name(epoch)) {
-            Ok(bytes) => match StampIndexEntry::decode_all(&bytes) {
-                Ok(entries) => {
-                    for e in entries {
-                        match e {
-                            StampIndexEntry::Stamp { txn, time, offset } => {
-                                match stamps.get(&txn) {
-                                    Some((t0, _)) if *t0 != time => {
-                                        v.push(Violation::ConflictingStatus { txn });
-                                    }
-                                    Some(_) => {} // duplicate (recovery re-emission)
-                                    None => {
-                                        stamps.insert(txn, (time, offset));
-                                        liveness.push((time, offset));
-                                    }
-                                }
-                            }
-                            StampIndexEntry::Abort { txn, offset } => {
-                                aborts.entry(txn).or_insert(offset);
-                            }
-                            StampIndexEntry::Dummy { time, offset } => {
-                                liveness.push((time, offset));
-                            }
-                        }
-                    }
-                }
-                Err(e) => v.push(Violation::LogUnreadable { reason: e.to_string() }),
-            },
-            Err(e) => v.push(Violation::LogUnreadable { reason: e.to_string() }),
-        }
-        for txn in stamps.keys() {
-            if aborts.contains_key(txn) {
-                v.push(Violation::ConflictingStatus { txn: *txn });
-            }
-        }
-        StampIndex { stamps, aborts, liveness }
-    }
-
-    /// Liveness discipline:
-    /// 1. Commit/heartbeat times are non-decreasing in log order — a
-    ///    backdated record appended later in L is caught here.
-    /// 2. Every liveness event falls in an interval with a *valid*
-    ///    witness file: one whose trusted WORM create time lies in (or
-    ///    just after) that interval. Mala cannot retro-create a witness —
-    ///    the compliance clock stamps her file with the real time.
-    /// 3. Every witnessed interval strictly between the first and last
-    ///    event contains at least one liveness event (the system promises
-    ///    a heartbeat per live interval, bounding the backdating window
-    ///    to one regret interval).
-    fn liveness_and_witness(
-        &self,
-        epoch: u64,
-        liveness: &mut [(Timestamp, u64)],
-        v: &mut Vec<Violation>,
-    ) {
-        liveness.sort_by_key(|(_, off)| *off);
-        let mut last: Option<Timestamp> = None;
-        for (time, off) in liveness.iter() {
-            if let Some(pt) = last {
-                if *time < pt {
-                    v.push(Violation::CommitTimesNotMonotonic { offset: *off });
-                }
-            }
-            last = Some(*time);
-        }
-        if self.config.check_witnesses && self.config.regret_interval.0 > 0 {
-            let r = self.config.regret_interval.0;
-            let valid_witness = |interval: u64| -> bool {
-                match self.worm.stat(&witness_name(epoch, interval)) {
-                    Ok(meta) => {
-                        let ct = meta.create_time.0;
-                        ct >= interval * r && ct < (interval + 2) * r
-                    }
-                    Err(_) => false,
-                }
-            };
-            let mut event_intervals: HashSet<u64> = HashSet::new();
-            for (time, _) in liveness.iter() {
-                event_intervals.insert(time.0 / r);
-            }
-            for interval in &event_intervals {
-                if !valid_witness(*interval) {
-                    v.push(Violation::MissingWitness { interval: *interval });
-                }
-            }
-            if let (Some((first, _)), Some((last, _))) = (liveness.first(), liveness.last()) {
-                let lo = first.0 / r;
-                let hi = last.0 / r;
-                for interval in lo + 1..hi {
-                    if valid_witness(interval) && !event_intervals.contains(&interval) {
-                        v.push(Violation::RegretGapExceeded {
-                            from: Timestamp(interval * r),
-                            to: Timestamp((interval + 1) * r),
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    /// WAL-tail cross-check. "This is why we require the tail of the
-    /// transaction log … to be on WORM, and that it be retained until the
-    /// next audit": commits that are durable in the tail must be
-    /// acknowledged by L (a STAMP_TRANS) and their writes present in the
-    /// final state — a wiped local WAL cannot silently unwind recent
-    /// commits.
-    #[allow(clippy::too_many_arguments)] // audit-index plumbing, internal only
-    fn wal_tail_check(
-        &self,
-        engine: &Engine,
-        epoch: u64,
-        stamps: &HashMap<TxnId, (Timestamp, u64)>,
-        shreds: &ShredMap,
-        migrated_versions: &HashSet<(RelId, Vec<u8>, Timestamp)>,
-        threads: usize,
-        v: &mut Vec<Violation>,
-    ) {
-        if !self.worm.exists(&waltail_name(epoch)) {
-            return;
-        }
-        let tail_bytes = match self.worm.read_all(&waltail_name(epoch)) {
-            Ok(b) => b,
-            Err(e) => {
-                v.push(Violation::LogUnreadable { reason: format!("WAL tail: {e}") });
-                Vec::new()
-            }
-        };
-        let mut reader = ccdb_wal::WalReader::from_bytes(tail_bytes);
-        let mut tail_commits: HashSet<TxnId> = HashSet::new();
-        let mut tail_inserts: HashMap<TxnId, Vec<(RelId, Vec<u8>)>> = HashMap::new();
-        while let Some((_lsn, rec)) = reader.next_record() {
-            match rec {
-                ccdb_wal::WalRecord::Commit { txn, .. } => {
-                    tail_commits.insert(txn);
-                }
-                ccdb_wal::WalRecord::Insert { txn, rel, key, .. } => {
-                    tail_inserts.entry(txn).or_default().push((rel, key));
-                }
-                _ => {}
-            }
-        }
-        let mut jobs: Vec<TxnId> = Vec::new();
-        for txn in &tail_commits {
-            if !stamps.contains_key(txn) {
-                v.push(Violation::WalTailInconsistent { txn: *txn });
-            } else {
-                jobs.push(*txn);
-            }
-        }
-        // The per-transaction presence probes are independent read-only
-        // B-tree lookups — on emulated remote storage they dominate this
-        // check, so they fan out on the pool (`threads == 1` runs the
-        // identical loop inline). Each probe keeps the serial first-miss
-        // semantics: at most one violation per transaction, determined by
-        // the WAL-tail insert order.
-        let debug = std::env::var("CCDB_AUDIT_DEBUG").is_ok();
-        let tail_inserts = &tail_inserts;
-        let results: Vec<Option<Violation>> = parallel_map(threads, jobs, |txn| {
-            let ct = stamps[&txn].0;
-            for (rel, key) in tail_inserts.get(&txn).map(|v| v.as_slice()).unwrap_or(&[]) {
-                let present = engine
-                    .tree(*rel)
-                    .ok()
-                    .and_then(|tree| tree.versions(key).ok())
-                    .map(|vs| {
-                        vs.iter().any(|t| {
-                            t.time == WriteTime::Committed(ct) || t.time == WriteTime::Pending(txn)
-                        })
-                    })
-                    .unwrap_or(false)
-                    || engine
-                        .historical_versions(*rel, key)
-                        .map(|vs| vs.iter().any(|t| t.time == WriteTime::Committed(ct)))
-                        .unwrap_or(false);
-                // Vacuumed (legally shredded) and WORM-migrated
-                // versions are excused — they are accounted elsewhere.
-                let shredded = shreds.contains_key(&(*rel, key.clone(), ct));
-                let on_worm = migrated_versions.contains(&(*rel, key.clone(), ct));
-                if !present && !shredded && !on_worm {
-                    if debug {
-                        eprintln!("TAIL MISS txn={txn:?} rel={rel:?} key={key:02x?} ct={ct:?}");
-                    }
-                    return Some(Violation::WalTailInconsistent { txn });
-                }
-            }
-            None
-        });
-        v.extend(results.into_iter().flatten());
+        let mut state = AuditState::seed(self, epoch);
+        state.ingest(None, true);
+        state.finalize(engine)
     }
 
     /// Writes the sealed replay checkpoint for a just-audited-clean epoch:
@@ -2018,14 +1070,4 @@ fn retention_as_of(engine: &Engine, rel_name: &str, t: Timestamp) -> Result<Opti
         b.copy_from_slice(&val[..8]);
         Duration(u64::from_le_bytes(b))
     }))
-}
-
-/// Cheap helper used by tests: the rank ordering of a pending version.
-pub fn pending_rank(txn: TxnId) -> TimeRank {
-    TimeRank::pending(txn)
-}
-
-/// Content hash of a canonical tuple (shared with `SHREDDED` records).
-pub fn tuple_content_hash(t: &TupleVersion) -> Digest {
-    sha256(&t.canonical_bytes())
 }

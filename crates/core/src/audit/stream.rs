@@ -1,66 +1,32 @@
-//! The streaming auditor: a per-tenant daemon-facing incremental audit.
+//! The streaming auditor: the daemon-facing driver of the audit core.
 //!
-//! The batch auditors (serial oracle and parallel pipeline) re-replay the
-//! whole epoch log on every audit. The streaming auditor instead **tails**
-//! `L` with bounded lag: each [`StreamAuditor::poll`] reads only the bytes
-//! appended since the previous poll, folds them into the carried replay
-//! state (page states, completeness accumulator, status book, shred book),
-//! and raises a typed [`TamperAlert`] as soon as new log-level evidence
-//! appears. A [`StreamAuditor::verdict`] quiesces the database, catches the
-//! tail up, and finishes with the *same* finalization the serial oracle
-//! runs (final-state scan, completeness join, liveness/witness, shred
-//! legality, WAL-tail cross-check, physical tree checks) — over a **clone**
-//! of the carried state, so streaming continues afterwards.
+//! A batch audit ingests the whole epoch log at once. The streaming auditor
+//! instead **tails** `L` with bounded lag: it carries one audit state per
+//! epoch, each [`StreamAuditor::poll`] ingests only the frames appended
+//! since the previous poll, and a typed [`TamperAlert`] is raised as soon as
+//! new log-level evidence appears. A [`StreamAuditor::verdict`] quiesces the
+//! database, ingests the rest of the tail, and runs the core's finalize —
+//! the same call a batch audit ends with — which leaves the carried state
+//! untouched, so streaming continues afterwards.
 //!
-//! # Equivalence to the batch auditor
-//!
-//! The per-record replay logic is the shared [`Replayer`]; the streaming
-//! auditor drives it batch-by-batch with the [`SerialSink`]. Two per-record
-//! decisions in the `Replayer` consult the *complete* epoch status book,
-//! which a tail-follower does not yet have:
-//!
-//! * a `NEW_TUPLE` whose transaction has no status yet (its `STAMP_TRANS`
-//!   or `ABORT` may simply not have been appended) — the serial oracle
-//!   would either fold it (stamped later in `L`) or flag
-//!   `UnstampedTransaction` (never resolved);
-//! * an `UNDO` of a pending version whose `ABORT` has not arrived yet —
-//!   the serial oracle would either accept it (aborted later) or flag
-//!   `UnjustifiedUndo`.
-//!
-//! Both are **deferred**: the page-state mutation is applied immediately
-//! (it does not depend on the future), while the judgment/fold is parked
-//! per transaction and resolved when the status record is replayed — or at
-//! verdict time, when "no status by now" is final, exactly as in the batch
-//! audit. Every other record either looks only backwards in `L` (the
-//! stamp-index mirror guarantees any `STAMP_TRANS` a committed cell relies
-//! on precedes it in `L`) or is judged against WORM artifacts, so it is
-//! replayed verbatim. Each poll also pre-scans its batch for status
-//! records before replaying it, mirroring the batch auditor's phase B, so
-//! within a batch the book is as complete as the serial oracle's.
+//! What makes an audit resumable at any frame boundary is in the core (see
+//! the `state` module): judgments that depend on a status record the stream
+//! may not have seen yet are parked there and resolved when the record
+//! arrives, or at finalize. This driver adds the epoch follow, the alert
+//! bookkeeping, and the lag counters.
 //!
 //! The differential suite (`tests/audit_stream_diff.rs`) pauses the stream
 //! at random points and asserts the verdict, fold hash, and full finding
-//! set are byte-identical to the cold serial oracle and the parallel
-//! pipeline.
+//! set are byte-identical to cold batch audits at one and several threads.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 use std::time::Instant;
 
-use ccdb_common::{Error, PageNo, RelId, Result, Timestamp, TxnId};
-use ccdb_crypto::AddHash;
-use ccdb_engine::Engine;
-use ccdb_storage::{BufferPool, PageStore, PageType, TupleVersion, WriteTime};
+use ccdb_common::{Error, Result};
 
 use crate::db::CompliantDb;
-use crate::logger::epoch_log_name;
-use crate::records::{LogIter, LogRecord};
 
-use super::{
-    canonicalize, check_relation_tree, fold_identity, leftover_states_check, scan_final_page,
-    shred_legality, two_pc_checks, AuditOutcome, AuditReport, AuditStats, Auditor, FinalScan,
-    FoldOp, PageState, ReplaySink, Replayer, SerialSink, ShredMap, TwoPcBook, Violation,
-};
+use super::state::AuditState;
+use super::{AuditOutcome, Auditor, Violation};
 
 /// Evidence surfaced by the streaming auditor: the violations that became
 /// visible since the previous alert (shallow polls) or the full dirty
@@ -101,56 +67,21 @@ pub struct StreamStats {
     pub snapshot_prefix_skipped: u64,
 }
 
-/// A transaction's parked judgments, waiting on its status record.
-#[derive(Clone, Debug, Default)]
-struct DeferredTxn {
-    /// `NEW_TUPLE` versions to fold once a `STAMP_TRANS` resolves them.
-    adds: Vec<TupleVersion>,
-    /// Pages whose pending-version `UNDO` awaits an `ABORT` justification.
-    undo_pages: Vec<PageNo>,
-}
-
-/// The streaming auditor. Single-threaded by design: one instance tails one
-/// tenant's epoch log; the server runs one daemon thread iterating tenants.
+/// The streaming auditor: one instance tails one tenant's epoch log; the
+/// server runs one daemon thread iterating tenants.
 pub struct StreamAuditor {
     auditor: Auditor,
     epoch: u64,
-    seeded: bool,
-    poisoned: bool,
-    debug: bool,
+    /// The epoch's audit so far; seeded by the first poll after an attach
+    /// or an epoch roll.
+    state: Option<AuditState>,
     max_batch_records: Option<usize>,
-
-    // Carried replay state (the serial oracle's mid-scan state).
-    states: HashMap<PageNo, PageState>,
-    seen: HashSet<Vec<u8>>,
-    acc: AddHash,
-    shreds: ShredMap,
-    recovery_windows: Vec<(u64, Timestamp)>,
-    migrated: HashSet<PageNo>,
-    migrated_versions: HashSet<(RelId, Vec<u8>, Timestamp)>,
-    reads_verified: u64,
-
-    // Status book, built from the status records inline in `L` (the logger
-    // mirrors exactly these into the stamp index, with the same offsets).
-    stamps: HashMap<TxnId, (Timestamp, u64)>,
-    aborts: HashMap<TxnId, u64>,
-    liveness: Vec<(Timestamp, u64)>,
-    two_pc: TwoPcBook,
-
-    deferred: HashMap<TxnId, DeferredTxn>,
-    violations: Vec<Violation>,
+    /// How many of the state's violations have been alerted on.
     alerted: usize,
     last_deep: Option<Vec<Violation>>,
-
-    byte_pos: u64,
-    records_ingested: u64,
-    snapshot_prefix_skipped: u64,
-
-    polls: u64,
-    epochs_sealed: u64,
-    tamper_alerts: u64,
-    last_lag_records: u64,
-    last_poll_us: u64,
+    /// The counters that outlive an epoch; [`StreamAuditor::stats`] fills
+    /// in the per-epoch ones from the state.
+    counters: StreamStats,
 }
 
 impl StreamAuditor {
@@ -158,38 +89,14 @@ impl StreamAuditor {
     /// volume. Seeding from the previous snapshot happens lazily on the
     /// first poll.
     pub fn attach(auditor: Auditor, epoch: u64) -> StreamAuditor {
-        let debug = std::env::var("CCDB_AUDIT_DEBUG").is_ok();
         StreamAuditor {
             auditor,
             epoch,
-            seeded: false,
-            poisoned: false,
-            debug,
+            state: None,
             max_batch_records: None,
-            states: HashMap::new(),
-            seen: HashSet::new(),
-            acc: AddHash::new(),
-            shreds: ShredMap::new(),
-            recovery_windows: Vec::new(),
-            migrated: HashSet::new(),
-            migrated_versions: HashSet::new(),
-            reads_verified: 0,
-            stamps: HashMap::new(),
-            aborts: HashMap::new(),
-            liveness: Vec::new(),
-            two_pc: TwoPcBook::default(),
-            deferred: HashMap::new(),
-            violations: Vec::new(),
             alerted: 0,
             last_deep: None,
-            byte_pos: 0,
-            records_ingested: 0,
-            snapshot_prefix_skipped: 0,
-            polls: 0,
-            epochs_sealed: 0,
-            tamper_alerts: 0,
-            last_lag_records: 0,
-            last_poll_us: 0,
+            counters: StreamStats::default(),
         }
     }
 
@@ -207,18 +114,27 @@ impl StreamAuditor {
 
     /// Current counters.
     pub fn stats(&self) -> StreamStats {
-        StreamStats {
-            epoch: self.epoch,
-            polls: self.polls,
-            records_ingested: self.records_ingested,
-            bytes_ingested: self.byte_pos,
-            lag_records: self.last_lag_records,
-            last_poll_us: self.last_poll_us,
-            epochs_sealed: self.epochs_sealed,
-            tamper_alerts: self.tamper_alerts,
-            violations: self.violations.len() as u64,
-            reads_verified: self.reads_verified,
-            snapshot_prefix_skipped: self.snapshot_prefix_skipped,
+        let mut out = StreamStats { epoch: self.epoch, ..self.counters };
+        if let Some(st) = &self.state {
+            out.records_ingested = st.stats.records_scanned;
+            out.bytes_ingested = st.byte_pos;
+            out.violations = st.violations.len() as u64;
+            out.reads_verified = st.stats.reads_verified;
+            out.snapshot_prefix_skipped = st.stats.snapshot_prefix_skipped;
+        }
+        out
+    }
+
+    /// Follows an epoch roll: the new epoch's state is seeded on next use.
+    fn follow_epoch(&mut self, db_epoch: u64) {
+        if db_epoch != self.epoch {
+            // The epoch only advances on a clean audit: the sealed epoch's
+            // evidence (none) is settled; restart against the new epoch.
+            self.counters.epochs_sealed += db_epoch.saturating_sub(self.epoch);
+            self.epoch = db_epoch;
+            self.state = None;
+            self.alerted = 0;
+            self.last_deep = None;
         }
     }
 
@@ -230,31 +146,20 @@ impl StreamAuditor {
         let plugin = db
             .plugin()
             .ok_or_else(|| Error::Invalid("streaming audit requires a compliance mode".into()))?;
-        let db_epoch = db.epoch();
-        if db_epoch != self.epoch {
-            // The epoch only advances on a clean audit: the sealed epoch's
-            // evidence (none) is settled; restart against the new epoch.
-            self.epochs_sealed += db_epoch.saturating_sub(self.epoch);
-            self.reset_for_epoch(db_epoch);
+        self.follow_epoch(db.epoch());
+        let st = self.state.get_or_insert_with(|| AuditState::seed(&self.auditor, self.epoch));
+        st.ingest(self.max_batch_records, false);
+        let ingested = st.stats.records_scanned;
+        let new_evidence = st.violations.get(self.alerted..).unwrap_or_default().to_vec();
+        self.counters.polls += 1;
+        self.counters.lag_records = plugin.logger().records_appended().saturating_sub(ingested);
+        self.counters.last_poll_us = t0.elapsed().as_micros() as u64;
+        if new_evidence.is_empty() {
+            return Ok(None);
         }
-        if !self.seeded {
-            self.seed();
-        }
-        self.ingest_batch()?;
-        self.polls += 1;
-        self.last_lag_records =
-            plugin.logger().records_appended().saturating_sub(self.records_ingested);
-        self.last_poll_us = t0.elapsed().as_micros() as u64;
-        if self.violations.len() > self.alerted {
-            let alert = TamperAlert {
-                epoch: self.epoch,
-                violations: self.violations[self.alerted..].to_vec(),
-            };
-            self.alerted = self.violations.len();
-            self.tamper_alerts += 1;
-            return Ok(Some(alert));
-        }
-        Ok(None)
+        self.alerted += new_evidence.len();
+        self.counters.tamper_alerts += 1;
+        Ok(Some(TamperAlert { epoch: self.epoch, violations: new_evidence }))
     }
 
     /// A deep poll: a shallow poll plus a full [`StreamAuditor::verdict`].
@@ -272,17 +177,17 @@ impl StreamAuditor {
             return Ok(shallow);
         }
         self.last_deep = Some(out.report.violations.clone());
-        self.tamper_alerts += 1;
-        self.alerted = self.violations.len();
+        self.counters.tamper_alerts += 1;
+        self.alerted = self.state.as_ref().map_or(0, |st| st.violations.len());
         Ok(Some(TamperAlert { epoch: self.epoch, violations: out.report.violations }))
     }
 
-    /// Quiesces the database, catches the tail up completely, and finishes
-    /// the audit over a **clone** of the carried state — the exact
-    /// finalization sequence of the serial oracle. The stream keeps
-    /// running afterwards; on a clean verdict the caller may invoke the
-    /// regular [`CompliantDb::audit`] to seal the epoch (the stream then
-    /// follows the roll on its next poll).
+    /// Quiesces the database, ingests the rest of the durable tail (caps do
+    /// not apply to a verdict), and finalizes — the same finalize a batch
+    /// audit ends with, over the carried state, which it leaves intact. The
+    /// stream keeps running afterwards; on a clean verdict the caller may
+    /// invoke the regular [`CompliantDb::audit`] to seal the epoch (the
+    /// stream then follows the roll on its next poll).
     pub fn verdict(&mut self, db: &CompliantDb) -> Result<AuditOutcome> {
         let plugin = db
             .plugin()
@@ -291,404 +196,18 @@ impl StreamAuditor {
         engine.quiesce()?;
         plugin.logger().flush()?;
         plugin.tick()?;
-        let db_epoch = db.epoch();
-        if db_epoch != self.epoch {
-            self.epochs_sealed += db_epoch.saturating_sub(self.epoch);
-            self.reset_for_epoch(db_epoch);
-        }
-        if !self.seeded {
-            self.seed();
-        }
+        self.follow_epoch(db.epoch());
+        let st = self.state.get_or_insert_with(|| AuditState::seed(&self.auditor, self.epoch));
         let t0 = Instant::now();
-        // Catch up the whole durable tail (caps do not apply to a verdict).
-        loop {
-            let before = self.byte_pos;
-            self.ingest_slice(None)?;
-            if self.byte_pos == before {
-                break;
-            }
-        }
+        st.ingest(None, true);
         // The finalization's own relation reads (holds, retention, WAL-tail
         // probes, tree walks) are trusted self-reads, exactly as in the
         // batch audit path.
         plugin.begin_trusted_reads();
-        let out = self.finalize(engine, t0);
+        let out = st.finalize(engine);
         plugin.end_trusted_reads();
-        out
-    }
-
-    fn reset_for_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
-        self.seeded = false;
-        self.poisoned = false;
-        self.states = HashMap::new();
-        self.seen = HashSet::new();
-        self.acc = AddHash::new();
-        self.shreds = ShredMap::new();
-        self.recovery_windows = Vec::new();
-        self.migrated = HashSet::new();
-        self.migrated_versions = HashSet::new();
-        self.reads_verified = 0;
-        self.stamps = HashMap::new();
-        self.aborts = HashMap::new();
-        self.liveness = Vec::new();
-        self.two_pc = TwoPcBook::default();
-        self.deferred = HashMap::new();
-        self.violations = Vec::new();
-        self.alerted = 0;
-        self.last_deep = None;
-        self.byte_pos = 0;
-        self.records_ingested = 0;
-        self.snapshot_prefix_skipped = 0;
-    }
-
-    /// Phase A: fold the previous epoch's snapshot into the carried state,
-    /// honoring the sealed-checkpoint fast path (`use_checkpoints`).
-    fn seed(&mut self) {
-        let mut v = Vec::new();
-        let mut stats = AuditStats::default();
-        let snap = self.auditor.phase_a_snapshot(self.epoch, &mut v, &mut stats);
-        self.states = snap.states;
-        self.acc = snap.acc;
-        self.seen = snap.seen;
-        self.snapshot_prefix_skipped = stats.snapshot_prefix_skipped;
-        self.violations.extend(v);
-        self.seeded = true;
-    }
-
-    fn ingest_batch(&mut self) -> Result<()> {
-        self.ingest_slice(self.max_batch_records)
-    }
-
-    /// Reads the durable epoch log, cuts one batch of *complete* frames off
-    /// the unread tail (up to `cap` records), pre-scans its status records,
-    /// and replays it.
-    fn ingest_slice(&mut self, cap: Option<usize>) -> Result<()> {
-        if self.poisoned {
-            return Ok(());
-        }
-        let log = match self.auditor.worm.read_all(&epoch_log_name(self.epoch)) {
-            Ok(b) => b,
-            Err(e) => {
-                // Mirror the batch auditor: an unreadable log is evidence,
-                // not an audit failure. Poison so it is recorded once.
-                self.violations.push(Violation::LogUnreadable { reason: e.to_string() });
-                self.poisoned = true;
-                return Ok(());
-            }
-        };
-        if (log.len() as u64) < self.byte_pos {
-            // The trusted log shrank beneath the cursor — WORM truncation.
-            // phase 0 of the next verdict names the file; stop ingesting.
-            return Ok(());
-        }
-        let tail = &log[self.byte_pos as usize..];
-        let batch_len = complete_frames_len(tail, cap);
-        if batch_len == 0 {
-            return Ok(());
-        }
-        let batch = &tail[..batch_len];
-        let base = self.byte_pos;
-
-        // Pre-scan: merge the batch's status records into the book first
-        // (mirrors phase B over the stamp index, which holds exactly these
-        // records at exactly these offsets), so replay decisions within the
-        // batch see the same book the batch auditor would.
-        for item in LogIter::new(batch) {
-            let Ok((rel_off, rec)) = item else { break };
-            let off = base + rel_off;
-            // 2PC records are global-ordering facts like status records;
-            // the book rides the same pre-scan.
-            self.two_pc.ingest(off, &rec);
-            match rec {
-                LogRecord::StampTrans { txn, commit_time } => match self.stamps.get(&txn) {
-                    Some((t0, _)) if *t0 != commit_time => {
-                        self.violations.push(Violation::ConflictingStatus { txn });
-                    }
-                    Some(_) => {} // duplicate (recovery re-emission)
-                    None => {
-                        self.stamps.insert(txn, (commit_time, off));
-                        self.liveness.push((commit_time, off));
-                    }
-                },
-                LogRecord::Abort { txn } => {
-                    self.aborts.entry(txn).or_insert(off);
-                }
-                LogRecord::DummyStamp { time } => {
-                    self.liveness.push((time, off));
-                }
-                _ => {}
-            }
-        }
-
-        // Replay. The Replayer borrows the status book, so the book and the
-        // sink state move into locals for the duration of the batch.
-        let stamps = std::mem::take(&mut self.stamps);
-        let aborts = std::mem::take(&mut self.aborts);
-        let sink = SerialSink {
-            seen: std::mem::take(&mut self.seen),
-            acc: self.acc,
-            shreds: std::mem::take(&mut self.shreds),
-            recovery_windows: std::mem::take(&mut self.recovery_windows),
-        };
-        let mut rp = Replayer::new(
-            &self.auditor.worm,
-            &stamps,
-            &aborts,
-            self.auditor.config.verify_reads,
-            self.debug,
-            std::mem::take(&mut self.states),
-            sink,
-        );
-        rp.migrated = std::mem::take(&mut self.migrated);
-        rp.migrated_versions = std::mem::take(&mut self.migrated_versions);
-
-        for item in LogIter::new(batch) {
-            let (rel_off, rec) = match item {
-                Ok(x) => x,
-                Err(e) => {
-                    rp.violations.push(Violation::LogUnreadable { reason: e.to_string() });
-                    self.poisoned = true;
-                    break;
-                }
-            };
-            let off = base + rel_off;
-            self.records_ingested += 1;
-            if self.debug {
-                let d = format!("{rec:?}");
-                eprintln!("STREAM {off}: {}", &d[..d.len().min(160)]);
-            }
-            // Park the two future-dependent judgments; everything else is
-            // the shared replay, verbatim.
-            match &rec {
-                LogRecord::NewTuple { pgno, rel, cell } => {
-                    if let Ok(t) = TupleVersion::decode_cell(cell) {
-                        if let WriteTime::Pending(txn) = t.time {
-                            if !stamps.contains_key(&txn) && !aborts.contains_key(&txn) {
-                                let st = rp.states.entry(*pgno).or_insert_with(|| PageState {
-                                    rel: *rel,
-                                    kind: Some(PageType::Leaf),
-                                    ..PageState::default()
-                                });
-                                if !st.tuples.iter().any(|e| e.key == t.key && e.seq == t.seq) {
-                                    st.tuples.push(t.clone());
-                                }
-                                self.deferred.entry(txn).or_default().adds.push(t);
-                                continue;
-                            }
-                        }
-                    }
-                }
-                LogRecord::Undo { pgno, rel: _, cell } => {
-                    if let Ok(t) = TupleVersion::decode_cell(cell) {
-                        if let WriteTime::Pending(txn) = t.time {
-                            if !aborts.contains_key(&txn) {
-                                if let Some(st) = rp.states.get_mut(pgno) {
-                                    if let Some(pos) = st
-                                        .tuples
-                                        .iter()
-                                        .position(|e| e.key == t.key && e.seq == t.seq)
-                                    {
-                                        st.tuples.remove(pos);
-                                    }
-                                }
-                                self.deferred.entry(txn).or_default().undo_pages.push(*pgno);
-                                continue;
-                            }
-                        }
-                    }
-                }
-                LogRecord::StampTrans { txn, .. } => {
-                    // Resolve this transaction's parked NEW_TUPLEs at the
-                    // stamp's offset, in park order, with the book's
-                    // (first-win) commit time. Parked UNDOs stay: only an
-                    // ABORT justifies them, and one may still arrive.
-                    if let Some((ct, _)) = stamps.get(txn) {
-                        if let Some(d) = self.deferred.get_mut(txn) {
-                            for t in d.adds.drain(..) {
-                                rp.sink.fold(off, FoldOp::AddIfNew(fold_identity(&t, *ct)));
-                            }
-                            if d.undo_pages.is_empty() {
-                                self.deferred.remove(txn);
-                            }
-                        }
-                    }
-                }
-                LogRecord::Abort { txn } => {
-                    // Parked UNDOs are justified. Parked NEW_TUPLEs stay: a
-                    // conflicting later stamp would still fold them, exactly
-                    // as the batch auditor's full status book would.
-                    if let Some(d) = self.deferred.get_mut(txn) {
-                        d.undo_pages.clear();
-                        if d.adds.is_empty() {
-                            self.deferred.remove(txn);
-                        }
-                    }
-                }
-                _ => {}
-            }
-            rp.replay(off, rec);
-        }
-
-        let Replayer {
-            states, migrated, migrated_versions, violations, reads_verified, sink, ..
-        } = rp;
-        self.states = states;
-        self.migrated = migrated;
-        self.migrated_versions = migrated_versions;
-        self.violations.extend(violations);
-        self.reads_verified += reads_verified;
-        let SerialSink { seen, acc, shreds, recovery_windows } = sink;
-        self.seen = seen;
-        self.acc = acc;
-        self.shreds = shreds;
-        self.recovery_windows = recovery_windows;
-        self.stamps = stamps;
-        self.aborts = aborts;
-        self.byte_pos += batch_len as u64;
-        Ok(())
-    }
-
-    /// The serial oracle's post-scan phases over a clone of the carried
-    /// state. `t0` anchors the lag/catch-up timing reported in the stats.
-    fn finalize(&self, engine: &Engine, t0: Instant) -> Result<AuditOutcome> {
-        let mut v = self.violations.clone();
-
-        self.auditor.phase0_worm_integrity(&mut v);
-
-        // Resolve the parked judgments: no status by verdict time is final.
-        for (txn, d) in &self.deferred {
-            if self.aborts.contains_key(txn) {
-                continue; // aborted: adds fold nothing, undos are justified
-            }
-            if !self.stamps.contains_key(txn) {
-                for _ in &d.adds {
-                    v.push(Violation::UnstampedTransaction { txn: *txn });
-                }
-            }
-            for pgno in &d.undo_pages {
-                v.push(Violation::UnjustifiedUndo { pgno: *pgno });
-            }
-        }
-
-        // Phase B's closing pass: a transaction with both a stamp and an
-        // abort has conflicting status.
-        for txn in self.stamps.keys() {
-            if self.aborts.contains_key(txn) {
-                v.push(Violation::ConflictingStatus { txn: *txn });
-            }
-        }
-
-        let mut liveness = self.liveness.clone();
-        self.auditor.liveness_and_witness(self.epoch, &mut liveness, &mut v);
-
-        shred_legality(engine, &self.shreds, &mut v);
-
-        two_pc_checks(&self.two_pc, &self.stamps, &mut v);
-
-        self.auditor.wal_tail_check(
-            engine,
-            self.epoch,
-            &self.stamps,
-            &self.shreds,
-            &self.migrated_versions,
-            1,
-            &mut v,
-        );
-
-        let disk = engine.disk();
-        let mut scan = FinalScan::new();
-        for i in 0..disk.page_count() {
-            scan_final_page(
-                disk,
-                &self.auditor.worm,
-                PageNo(i),
-                &self.states,
-                &self.stamps,
-                &mut scan,
-            )?;
-        }
-        let FinalScan { h_final, tuples_final, violations: dv, forensics, snapshot_pages } = scan;
-        v.extend(dv);
-        leftover_states_check(&self.states, &self.migrated, disk.page_count(), &mut v);
-        if self.acc != h_final {
-            v.push(Violation::CompletenessMismatch);
-        }
-        {
-            let raw_pool = Arc::new(BufferPool::new(
-                disk.clone() as Arc<dyn PageStore>,
-                engine.clock().clone(),
-                1024,
-            ));
-            for (_name, rel) in engine.user_relations() {
-                v.extend(check_relation_tree(engine, &raw_pool, rel));
-            }
-        }
-
-        let stats = AuditStats {
-            threads_used: 1,
-            records_scanned: self.records_ingested,
-            log_bytes: self.byte_pos,
-            reads_verified: self.reads_verified,
-            tuples_final,
-            snapshot_pages: snapshot_pages.len() as u64,
-            snapshot_prefix_skipped: self.snapshot_prefix_skipped,
-            audit_lag_records: 0, // a verdict is fully caught up by definition
-            audit_lag_us: t0.elapsed().as_micros() as u64,
-            ..AuditStats::default()
-        };
-        let mut report = AuditReport { epoch: self.epoch, violations: v, forensics, stats };
-        canonicalize(&mut report);
-        Ok(AuditOutcome {
-            report,
-            snapshot_pages,
-            tuple_hash: h_final,
-            two_pc: self.two_pc.clone(),
-        })
-    }
-}
-
-/// Length of the longest prefix of `bytes` consisting of complete record
-/// frames (`len ‖ checksum ‖ body`), capped at `cap` records. A trailing
-/// partial frame (a flush racing the read) is left for the next poll.
-fn complete_frames_len(bytes: &[u8], cap: Option<usize>) -> usize {
-    let mut pos = 0usize;
-    let mut n = 0usize;
-    while pos + 8 <= bytes.len() {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let Some(end) = pos.checked_add(8).and_then(|p| p.checked_add(len)) else { break };
-        if end > bytes.len() {
-            break;
-        }
-        pos = end;
-        n += 1;
-        if cap.is_some_and(|c| n >= c) {
-            break;
-        }
-    }
-    pos
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn frame(body_len: usize) -> Vec<u8> {
-        let mut f = (body_len as u32).to_le_bytes().to_vec();
-        f.extend_from_slice(&[0u8; 4]); // checksum (unchecked by the scan)
-        f.extend(vec![0xAB; body_len]);
-        f
-    }
-
-    #[test]
-    fn frame_scan_cuts_at_partial_tail() {
-        let mut bytes = frame(3);
-        bytes.extend(frame(5));
-        let whole = bytes.len();
-        bytes.extend_from_slice(&frame(9)[..6]); // torn tail
-        assert_eq!(complete_frames_len(&bytes, None), whole);
-        assert_eq!(complete_frames_len(&bytes, Some(1)), frame(3).len());
-        assert_eq!(complete_frames_len(&[], None), 0);
-        assert_eq!(complete_frames_len(&bytes[..4], None), 0);
+        let mut out = out?;
+        out.report.stats.audit_lag_us = t0.elapsed().as_micros() as u64;
+        Ok(out)
     }
 }

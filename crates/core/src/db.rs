@@ -61,14 +61,6 @@ pub struct ComplianceConfig {
     /// next snapshot is in place" — so a horizon of a few audit periods
     /// keeps WORM usage bounded.
     pub worm_artifact_retention: Option<Duration>,
-    /// Run audits with the serial single-pass oracle instead of the
-    /// parallel pipeline (the two are verdict-identical; the oracle exists
-    /// for differential testing and as the paper's literal algorithm).
-    pub audit_serial: bool,
-    /// Worker threads for the parallel audit pipeline (0 = auto).
-    pub audit_threads: usize,
-    /// Records per decode chunk in the parallel audit's `L` scan.
-    pub audit_l_chunk_records: usize,
 }
 
 impl Default for ComplianceConfig {
@@ -80,9 +72,6 @@ impl Default for ComplianceConfig {
             auditor_seed: [0x42; 32],
             fsync: true,
             worm_artifact_retention: None,
-            audit_serial: false,
-            audit_threads: 0,
-            audit_l_chunk_records: crate::audit::DEFAULT_L_CHUNK_RECORDS,
         }
     }
 }
@@ -516,27 +505,24 @@ impl CompliantDb {
         migrate::migrate_relation(&self.engine, plugin, &self.worm, rel)
     }
 
-    /// The audit configuration this database runs with (regret interval and
-    /// read-verification follow the compliance mode; the serial/threads/
-    /// chunk knobs follow [`ComplianceConfig`]).
+    /// The audit configuration this database runs with: regret interval and
+    /// read-verification follow the compliance mode, the rest is
+    /// [`AuditConfig::default`].
     pub fn audit_config(&self) -> AuditConfig {
         AuditConfig {
             regret_interval: self.config.regret_interval,
             verify_reads: self.config.mode == Mode::HashOnRead,
-            serial: self.config.audit_serial,
-            audit_threads: self.config.audit_threads,
-            l_chunk_records: self.config.audit_l_chunk_records,
             ..AuditConfig::default()
         }
     }
 
     /// Runs an audit **dry run** under an explicit [`AuditConfig`] without
     /// advancing the epoch or writing a snapshot: the differential suites
-    /// and the audit bench use this to run the serial oracle and the
-    /// parallel pipeline over the *same* quiesced state and compare
-    /// outcomes. The deployment's regret interval and read-verification
-    /// mode always override the caller's (they are properties of the
-    /// database, not of the audit strategy).
+    /// and the benchmark use this to audit the *same* quiesced state at
+    /// several thread counts and chunk sizes and compare outcomes. The
+    /// deployment's regret interval and read-verification mode always
+    /// override the caller's (they are properties of the database, not of
+    /// how the audit is run).
     pub fn audit_outcome_with(&self, config: AuditConfig) -> Result<crate::audit::AuditOutcome> {
         let plugin = self
             .plugin

@@ -127,8 +127,7 @@ struct PluginState {
     /// reads of state it is simultaneously verifying physically, not user
     /// query results needing the hash-page-on-read defense. Suppressing
     /// them keeps an audit side-effect-free on `L`, so back-to-back audit
-    /// dry-runs (the serial/parallel differential harness) observe the
-    /// same log.
+    /// dry-runs (the differential harness) observe the same log.
     trusted_reads: usize,
     stats: PluginStats,
 }
@@ -532,8 +531,13 @@ impl EngineHooks for CompliancePlugin {
                 st.commit_times.insert(*txn, *t);
             }
         }
-        for (txn, t) in committed {
-            self.logger.append(&LogRecord::StampTrans { txn: *txn, commit_time: *t })?;
+        // Recovery hands transactions over in id order; `L` promises commit
+        // times in log order, and concurrent committers' ids and commit
+        // order differ.
+        let mut by_commit_time = committed.to_vec();
+        by_commit_time.sort_by_key(|(txn, t)| (*t, *txn));
+        for (txn, commit_time) in by_commit_time {
+            self.logger.append(&LogRecord::StampTrans { txn, commit_time })?;
         }
         for txn in aborted {
             self.logger.append(&LogRecord::Abort { txn: *txn })?;

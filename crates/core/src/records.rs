@@ -453,43 +453,87 @@ impl LogRecord {
     }
 }
 
-/// Iterates framed records in a byte buffer (one `L` epoch file), yielding
-/// `(offset, record)`.
-pub struct LogIter<'a> {
+/// One `len ‖ checksum ‖ body` frame of `L`, not yet verified or decoded.
+#[derive(Debug)]
+pub struct LogFrame<'a> {
+    /// Offset of the frame's first byte in the buffer.
+    pub offset: u64,
+    /// The checksum the frame header claims for `body`.
+    pub checksum: u32,
+    /// The encoded record.
+    pub body: &'a [u8],
+}
+
+impl LogFrame<'_> {
+    /// Offset of the first byte after this frame.
+    pub fn end(&self) -> u64 {
+        self.offset + 8 + self.body.len() as u64
+    }
+
+    /// Verifies the checksum and decodes the record.
+    pub fn decode(&self) -> Result<LogRecord> {
+        if checksum32(self.body) != self.checksum {
+            return Err(Error::corruption("compliance-log checksum mismatch"));
+        }
+        LogRecord::decode_body(self.body)
+    }
+}
+
+/// Walks the framing of a byte buffer (one `L` epoch file, or its unread
+/// tail). The only frame walker: [`LogIter`] and the auditor's chunked
+/// decode both sit on it. Yields an error, without advancing, at a frame the
+/// buffer ends inside of.
+pub struct LogFrames<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl<'a> LogIter<'a> {
-    /// Creates an iterator over `bytes`.
-    pub fn new(bytes: &'a [u8]) -> LogIter<'a> {
-        LogIter { bytes, pos: 0 }
+impl<'a> LogFrames<'a> {
+    /// Creates a frame walker over `bytes`.
+    pub fn new(bytes: &'a [u8]) -> LogFrames<'a> {
+        LogFrames { bytes, pos: 0 }
     }
 }
 
-impl<'a> Iterator for LogIter<'a> {
+impl<'a> Iterator for LogFrames<'a> {
+    type Item = Result<LogFrame<'a>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let rest = &self.bytes[self.pos..];
+        if rest.is_empty() {
+            return None;
+        }
+        if rest.len() < 8 {
+            return Some(Err(Error::corruption("truncated compliance-log frame")));
+        }
+        let len = u32::from_le_bytes(rest[..4].try_into().expect("4")) as usize;
+        let checksum = u32::from_le_bytes(rest[4..8].try_into().expect("4"));
+        if rest.len() - 8 < len {
+            return Some(Err(Error::corruption("truncated compliance-log record")));
+        }
+        let offset = self.pos as u64;
+        self.pos += 8 + len;
+        Some(Ok(LogFrame { offset, checksum, body: &rest[8..8 + len] }))
+    }
+}
+
+/// Iterates framed records in a byte buffer (one `L` epoch file), yielding
+/// `(offset, record)`.
+pub struct LogIter<'a>(LogFrames<'a>);
+
+impl<'a> LogIter<'a> {
+    /// Creates an iterator over `bytes`.
+    pub fn new(bytes: &'a [u8]) -> LogIter<'a> {
+        LogIter(LogFrames::new(bytes))
+    }
+}
+
+impl Iterator for LogIter<'_> {
     type Item = Result<(u64, LogRecord)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.pos >= self.bytes.len() {
-            return None;
-        }
-        if self.pos + 8 > self.bytes.len() {
-            return Some(Err(Error::corruption("truncated compliance-log frame")));
-        }
-        let len =
-            u32::from_le_bytes(self.bytes[self.pos..self.pos + 4].try_into().expect("4")) as usize;
-        let sum = u32::from_le_bytes(self.bytes[self.pos + 4..self.pos + 8].try_into().expect("4"));
-        if self.pos + 8 + len > self.bytes.len() {
-            return Some(Err(Error::corruption("truncated compliance-log record")));
-        }
-        let body = &self.bytes[self.pos + 8..self.pos + 8 + len];
-        if checksum32(body) != sum {
-            return Some(Err(Error::corruption("compliance-log checksum mismatch")));
-        }
-        let off = self.pos as u64;
-        self.pos += 8 + len;
-        Some(LogRecord::decode_body(body).map(|r| (off, r)))
+        let frame = self.0.next()?;
+        Some(frame.and_then(|f| Ok((f.offset, f.decode()?))))
     }
 }
 
@@ -583,6 +627,25 @@ mod tests {
         framed[last] ^= 0xFF;
         let mut it = LogIter::new(&framed);
         assert!(it.next().unwrap().is_err());
+    }
+
+    #[test]
+    fn frame_walk_cuts_at_a_torn_tail() {
+        let a = LogRecord::Abort { txn: TxnId(1) }.encode_framed();
+        let b = LogRecord::DummyStamp { time: Timestamp(7) }.encode_framed();
+        let mut bytes = [a.clone(), b.clone()].concat();
+        let whole = bytes.len() as u64;
+        bytes.extend_from_slice(&a[..6]); // a flush racing the read
+        let frames: Vec<LogFrame<'_>> = LogFrames::new(&bytes).map_while(Result::ok).collect();
+        assert_eq!(frames.len(), 2);
+        assert_eq!((frames[0].offset, frames[0].end()), (0, a.len() as u64));
+        assert_eq!(frames[1].end(), whole);
+        assert_eq!(frames[1].decode().unwrap(), LogRecord::DummyStamp { time: Timestamp(7) });
+        // The walker reports the torn frame (without advancing past it).
+        assert!(LogFrames::new(&bytes).nth(2).unwrap().is_err());
+        // A record cap is a `take`.
+        assert_eq!(LogFrames::new(&bytes).take(1).count(), 1);
+        assert!(LogFrames::new(&bytes[..4]).next().unwrap().is_err());
     }
 
     #[test]

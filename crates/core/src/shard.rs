@@ -663,7 +663,7 @@ impl ShardedDb {
     /// A deployment audit **dry run** under an explicit config (no epoch
     /// advance, no snapshot): per-shard outcomes plus the cross-shard join
     /// over the outcomes' 2PC books. The differential suite runs this for
-    /// the serial oracle and the parallel pipeline over the same state.
+    /// one thread and several over the same state.
     pub fn audit_dry(&self, config: AuditConfig) -> Result<(Vec<AuditOutcome>, Vec<Violation>)> {
         let mut outcomes = Vec::with_capacity(self.shards.len());
         for db in &self.shards {

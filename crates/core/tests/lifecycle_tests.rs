@@ -35,7 +35,6 @@ fn config(mode: Mode) -> ComplianceConfig {
         auditor_seed: [7u8; 32],
         fsync: false,
         worm_artifact_retention: None,
-        ..ComplianceConfig::default()
     }
 }
 

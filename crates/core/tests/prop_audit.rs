@@ -66,7 +66,6 @@ fn config(mode: Mode) -> ComplianceConfig {
         auditor_seed: [5u8; 32],
         fsync: false,
         worm_artifact_retention: None,
-        ..ComplianceConfig::default()
     }
 }
 

@@ -39,7 +39,6 @@ fn setup(tag: &str) -> (CompliantDb, Arc<VirtualClock>, TempDir) {
             auditor_seed: [11u8; 32],
             fsync: false,
             worm_artifact_retention: None,
-            ..ComplianceConfig::default()
         },
     )
     .unwrap();

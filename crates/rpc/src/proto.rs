@@ -115,8 +115,9 @@ pub enum Request {
     RelId { name: String },
     /// Sets the retention period (µs) of relation `name` under `txn`.
     SetRetention { txn: TxnId, name: String, period_us: u64 },
-    /// Runs a compliance audit of this session's tenant. `serial` selects
-    /// the single-pass oracle instead of the parallel pipeline.
+    /// Runs a compliance audit of this session's tenant. `serial` asks for
+    /// a dry run on one thread (verdict only, no epoch advance) instead of
+    /// the sealing audit.
     Audit { serial: bool },
     /// Migrates expired tuples of `rel` to WORM.
     Migrate { rel: RelId },

@@ -907,12 +907,9 @@ fn dispatch(
         Request::Audit { serial } => match &s.db {
             SessionDb::Plain(db) => {
                 if serial {
-                    // Dry-run with the serial single-pass oracle: verdict
-                    // only, no epoch advance (differential checks against
-                    // the real audit below).
-                    let mut cfg = db.audit_config();
-                    cfg.serial = true;
-                    match db.audit_outcome_with(cfg) {
+                    // Dry-run on one thread: verdict only, no epoch advance
+                    // (differential checks against the real audit below).
+                    match db.audit_outcome_with(db.audit_config().with_threads(1)) {
                         Ok(out) => Response::AuditDone {
                             clean: out.report.is_clean(),
                             violations: out.report.violations.len() as u32,
@@ -935,9 +932,7 @@ fn dispatch(
             }
             SessionDb::Sharded { db, .. } => {
                 if serial {
-                    let mut cfg = db.shards()[0].audit_config();
-                    cfg.serial = true;
-                    match db.audit_dry(cfg) {
+                    match db.audit_dry(db.shards()[0].audit_config().with_threads(1)) {
                         Ok((outcomes, cross)) => Response::AuditDone {
                             clean: cross.is_empty() && outcomes.iter().all(|o| o.report.is_clean()),
                             violations: (outcomes

@@ -41,7 +41,6 @@ fn setup(tag: &str, mode: Mode) -> (CompliantDb, Tpcc, TempDir) {
             auditor_seed: [9u8; 32],
             fsync: false,
             worm_artifact_retention: None,
-            ..ComplianceConfig::default()
         },
     )
     .unwrap();

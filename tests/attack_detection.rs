@@ -42,7 +42,6 @@ fn setup(tag: &str, mode: Mode) -> (CompliantDb, Arc<VirtualClock>, TempDir) {
             auditor_seed: [3u8; 32],
             fsync: false,
             worm_artifact_retention: None,
-            ..ComplianceConfig::default()
         },
     )
     .unwrap();
@@ -296,7 +295,6 @@ fn wal_wipe_after_crash_cannot_unwind_commits() {
             auditor_seed: [3u8; 32],
             fsync: false,
             worm_artifact_retention: None,
-            ..ComplianceConfig::default()
         },
     )
     .unwrap();
@@ -436,7 +434,6 @@ fn sharded_setup(tag: &str) -> (ccdb::compliance::ShardedDb, TempDir) {
             auditor_seed: [3u8; 32],
             fsync: false,
             worm_artifact_retention: None,
-            ..ComplianceConfig::default()
         },
         2,
     )
@@ -581,7 +578,6 @@ fn worm_reclamation_after_audits() {
             auditor_seed: [3u8; 32],
             fsync: false,
             worm_artifact_retention: Some(Duration::from_mins(30)),
-            ..ComplianceConfig::default()
         },
     )
     .unwrap();

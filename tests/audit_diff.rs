@@ -6,6 +6,11 @@
 //! count and chunk size — including degenerate 1-record chunks that place
 //! every record at a chunk boundary.
 //!
+//! Since the serial pass and the pipeline became one audit core (of which
+//! "serial" is the one-thread run), these identities check that the core is
+//! invariant under partitioning. The core itself is checked against the
+//! naive spec auditor in `spec_audit/`, which shares none of its code.
+//!
 //! Seed control: `CCDB_AUDIT_DIFF_SEEDS` (comma-separated u64 list) widens
 //! the seeded sweep in CI without recompiling.
 
@@ -15,6 +20,10 @@ use std::sync::Arc;
 use ccdb::btree::SplitPolicy;
 use ccdb::common::{Duration, SplitMix64, VirtualClock};
 use ccdb::compliance::{AuditConfig, AuditOutcome, ComplianceConfig, CompliantDb, Mode};
+
+mod spec_audit;
+
+const AUDITOR_SEED: [u8; 32] = [0xD1; 32];
 
 struct TempDir(PathBuf);
 impl TempDir {
@@ -44,10 +53,9 @@ fn open(dir: &TempDir, mode: Mode) -> (CompliantDb, Arc<VirtualClock>) {
             mode,
             regret_interval: Duration::from_mins(5),
             cache_pages: 128,
-            auditor_seed: [0xD1; 32],
+            auditor_seed: AUDITOR_SEED,
             fsync: false,
             worm_artifact_retention: None,
-            ..ComplianceConfig::default()
         },
     )
     .unwrap();
@@ -153,6 +161,12 @@ fn sweep(mode: Mode, tag: &str) {
         let serial = db.audit_outcome_with(AuditConfig::serial()).unwrap();
         assert_eq!(serial.report.stats.threads_used, 1);
 
+        // The independent oracle: an honest history is complete, and the
+        // product folded exactly the tuples the database file holds.
+        let spec = spec_audit::run(&db, AUDITOR_SEED);
+        assert!(spec.expected == spec.actual, "{tag} seed={seed}: spec says Df != Ds ∪ L");
+        assert_eq!(spec.actual_hash(), serial.tuple_hash, "{tag} seed={seed}: spec vs tuple_hash");
+
         for threads in [1usize, 2, 4, 8] {
             for chunk in [1usize, 3, ccdb::compliance::DEFAULT_L_CHUNK_RECORDS] {
                 let cfg = AuditConfig::default().with_threads(threads).with_chunk_records(chunk);
@@ -208,4 +222,79 @@ fn auto_threads_match_serial() {
     let auto = db.audit_outcome_with(AuditConfig::default().with_threads(0)).unwrap();
     assert!(auto.report.stats.threads_used >= 1);
     assert_same_outcome("auto", &serial, &auto);
+}
+
+/// The spec oracle against tuple-level tampering: Mala alters, deletes, or
+/// back-dates a tuple in the database file and the spec's two sets differ
+/// exactly when the product reports `CompletenessMismatch` — and after a
+/// tamper that only reorders a leaf (same tuples, Figure 2(b)) both say the
+/// tuple set is intact, the product catching it as a tree violation instead.
+#[test]
+fn spec_oracle_differs_exactly_when_completeness_is_violated() {
+    use ccdb::adversary::Mala;
+    use ccdb::common::Timestamp;
+    use ccdb::compliance::Violation;
+
+    type Tamper = fn(&Mala, ccdb::common::RelId) -> bool;
+    let tampers: [(&str, bool, Tamper); 4] = [
+        ("alter", true, |m, _| m.alter_tuple_value(b"spec-target", b"cooked").unwrap()),
+        ("delete", true, |m, _| m.delete_tuple(b"spec-target").unwrap()),
+        ("backdate", true, |m, rel| {
+            m.backdate_insert(rel, b"spec-forged", b"planted", Timestamp(5)).unwrap()
+        }),
+        ("reorder", false, |m, _| m.swap_leaf_entries().unwrap()),
+    ];
+    for (name, breaks_completeness, tamper) in tampers {
+        let d = TempDir::new(&format!("spec-{name}"));
+        let (db, clock) = open(&d, Mode::LogConsistent);
+        seeded_workload(&db, &clock, 5, 2);
+        let ledger = db.engine().rel_id("ledger").unwrap();
+        let t = db.begin().unwrap();
+        db.write(t, ledger, b"spec-target", b"honest").unwrap();
+        db.commit(t).unwrap();
+        db.engine().run_stamper().unwrap();
+        db.engine().clear_cache().unwrap();
+        assert!(tamper(&Mala::new(db.engine().db_path()), ledger), "{name}: nothing to tamper");
+
+        let spec = spec_audit::run(&db, AUDITOR_SEED);
+        assert_eq!(spec.expected != spec.actual, breaks_completeness, "{name}: spec verdict");
+        for cfg in [AuditConfig::serial(), AuditConfig::default().with_threads(4)] {
+            let out = db.audit_outcome_with(cfg).unwrap();
+            assert!(!out.report.is_clean(), "{name}: tamper went unnoticed");
+            let product =
+                out.report.violations.iter().any(|v| matches!(v, Violation::CompletenessMismatch));
+            assert_eq!(product, breaks_completeness, "{name}: {:?}", out.report.violations);
+            assert_eq!(spec.actual_hash(), out.tuple_hash, "{name}: spec vs tuple_hash");
+        }
+    }
+}
+
+/// The seeded workload above never fills a time-split page, so its logs
+/// carry no `MIGRATE`. This one does — overwrite-heavy traffic on a
+/// time-split relation, migrated after every wave — and the spec oracle's
+/// "minus MIGRATEd versions" must keep agreeing with the product.
+#[test]
+fn spec_oracle_follows_worm_migration() {
+    let d = TempDir::new("spec-migrate");
+    let (db, _clock) = open(&d, Mode::LogConsistent);
+    let hot = db.create_relation("hot", SplitPolicy::TimeSplit { threshold: 0.7 }).unwrap();
+    let mut migrated = 0;
+    for wave in 0..3u32 {
+        for i in 0..120u32 {
+            let t = db.begin().unwrap();
+            let k = format!("h{:03}", i % 37);
+            db.write(t, hot, k.as_bytes(), format!("w{wave}i{i}").as_bytes()).unwrap();
+            db.commit(t).unwrap();
+        }
+        migrated += db.migrate_to_worm(hot).unwrap().pages_migrated;
+        let out = db.audit_outcome_with(AuditConfig::serial()).unwrap();
+        assert!(out.report.is_clean(), "wave {wave}: {:?}", out.report.violations);
+        let spec = spec_audit::run(&db, AUDITOR_SEED);
+        assert!(spec.expected == spec.actual, "wave {wave}: spec says Df != Ds ∪ L");
+        assert_eq!(spec.actual_hash(), out.tuple_hash, "wave {wave}: spec vs tuple_hash");
+        if wave == 1 {
+            assert!(db.audit().unwrap().is_clean(), "epoch roll");
+        }
+    }
+    assert!(migrated > 0, "the workload never migrated a page — test is vacuous");
 }

@@ -8,6 +8,10 @@
 //! violation and forensic sets, same completeness hash, same snapshot
 //! material.
 //!
+//! Since all three became drivers of one audit core, these identities check
+//! that the core is invariant under batching. The core itself is checked
+//! against the naive spec auditor in `spec_audit/`.
+//!
 //! Seed control: `CCDB_AUDIT_DIFF_SEEDS` (comma-separated u64 list) widens
 //! the seeded sweep in CI without recompiling.
 
@@ -17,6 +21,10 @@ use std::sync::Arc;
 use ccdb::btree::SplitPolicy;
 use ccdb::common::{Duration, SplitMix64, VirtualClock};
 use ccdb::compliance::{AuditConfig, AuditOutcome, ComplianceConfig, CompliantDb, Mode};
+
+mod spec_audit;
+
+const AUDITOR_SEED: [u8; 32] = [0xD1; 32];
 
 struct TempDir(PathBuf);
 impl TempDir {
@@ -46,10 +54,9 @@ fn open(dir: &TempDir, mode: Mode) -> (CompliantDb, Arc<VirtualClock>) {
             mode,
             regret_interval: Duration::from_mins(5),
             cache_pages: 128,
-            auditor_seed: [0xD1; 32],
+            auditor_seed: AUDITOR_SEED,
             fsync: false,
             worm_artifact_retention: None,
-            ..ComplianceConfig::default()
         },
     )
     .unwrap();
@@ -176,6 +183,22 @@ fn sweep(mode: Mode, tag: &str) {
             assert_same_outcome(&format!("{label} vs serial"), &serial, &sv);
             assert_same_outcome(&format!("{label} vs parallel"), &par, &sv);
             assert!(sv.report.is_clean(), "{label}: {:?}", sv.report.violations);
+            // The independent oracle agrees with the stream's fold.
+            let spec = spec_audit::run(&db, AUDITOR_SEED);
+            assert!(spec.expected == spec.actual, "{label}: spec says Df != Ds ∪ L");
+            assert_eq!(spec.actual_hash(), sv.tuple_hash, "{label}: spec vs tuple_hash");
+            // One finalize serves all three drivers, so all three account
+            // for its phases (a streaming verdict used to report zeros).
+            for (who, out) in [("serial", &serial), ("parallel", &par), ("stream", &sv)] {
+                let s = &out.report.stats;
+                assert!(
+                    s.wal_tail_us > 0
+                        && s.final_state_us > 0
+                        && s.tree_verify_us > 0
+                        && s.completeness_join_us > 0,
+                    "{label} {who}: per-phase timers unfilled: {s:?}"
+                );
+            }
 
             // The verdict ran over a clone of the carried state: a second
             // verdict — and one after further polling — is identical.

@@ -43,7 +43,6 @@ fn config(mode: Mode, cache_pages: usize) -> ComplianceConfig {
         auditor_seed: [9u8; 32],
         fsync: false,
         worm_artifact_retention: None,
-        ..ComplianceConfig::default()
     }
 }
 
@@ -301,4 +300,51 @@ fn recovery_is_exact_and_idempotent_at_every_wal_record_boundary() {
             .unwrap_or_else(|e| panic!("boundary {b}: second recovery failed: {e}"));
         check(&recovered, "second recovery");
     }
+}
+
+/// Regression: crash recovery hands the committed transactions to the
+/// compliance plugin in transaction-id order, and the plugin used to re-emit
+/// their `STAMP_TRANS` records in that order. Two interleaved committers
+/// whose id order differs from their commit order, crashed before `L` was
+/// flushed, therefore left an honest history that audited as
+/// `CommitTimesNotMonotonic`. Re-emission is in commit-time order now: the
+/// recovered epoch audits clean on one thread, on several, and under the
+/// stream.
+#[test]
+fn recovery_restamps_in_commit_order_not_id_order() {
+    use ccdb::compliance::AuditConfig;
+
+    let d = TempDir::new("restamp-order");
+    let (db, _clock) = open(&d.0, Mode::LogConsistent, 128);
+    let rel = db.create_relation("t", SplitPolicy::KeyOnly).unwrap();
+    put(&db, rel, b"base", b"line");
+    db.engine().checkpoint().unwrap();
+
+    // `first` gets the lower id but commits last.
+    let first = db.begin().unwrap();
+    let second = db.begin().unwrap();
+    assert!(first < second, "ids follow begin order");
+    db.write(first, rel, b"k-first", b"1").unwrap();
+    db.write(second, rel, b"k-second", b"2").unwrap();
+    db.commit(second).unwrap();
+    db.commit(first).unwrap();
+
+    // The crash drops the unflushed `STAMP_TRANS` records; recovery finds
+    // both commits in the WAL and re-emits them.
+    let db = db.crash_and_recover().unwrap();
+    let t = db.begin().unwrap();
+    assert_eq!(db.read(t, rel, b"k-first").unwrap().as_deref(), Some(&b"1"[..]));
+    assert_eq!(db.read(t, rel, b"k-second").unwrap().as_deref(), Some(&b"2"[..]));
+    db.commit(t).unwrap();
+
+    let mut stream = db.stream_auditor().unwrap();
+    for (label, out) in [
+        ("1 thread", db.audit_outcome_with(AuditConfig::serial()).unwrap()),
+        ("4 threads", db.audit_outcome_with(AuditConfig::default().with_threads(4)).unwrap()),
+        ("stream", stream.verdict(&db).unwrap()),
+    ] {
+        assert!(out.report.is_clean(), "{label}: {:?}", out.report.violations);
+    }
+    let report = db.audit().unwrap();
+    assert!(report.is_clean(), "sealing audit: {:?}", report.violations);
 }

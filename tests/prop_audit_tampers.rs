@@ -50,7 +50,6 @@ fn open(dir: &TempDir, mode: Mode) -> CompliantDb {
             auditor_seed: [0xAB; 32],
             fsync: false,
             worm_artifact_retention: None,
-            ..ComplianceConfig::default()
         },
     )
     .unwrap()

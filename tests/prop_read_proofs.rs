@@ -52,7 +52,6 @@ fn open(dir: &TempDir, mode: Mode) -> CompliantDb {
             auditor_seed: AUDITOR_SEED,
             fsync: false,
             worm_artifact_retention: None,
-            ..ComplianceConfig::default()
         },
     )
     .unwrap()

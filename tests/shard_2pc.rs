@@ -44,7 +44,6 @@ fn cfg() -> ComplianceConfig {
         auditor_seed: [7u8; 32],
         fsync: false,
         worm_artifact_retention: None,
-        ..ComplianceConfig::default()
     }
 }
 

@@ -63,7 +63,6 @@ fn concurrent_commit_pipeline_audits_clean() {
                 auditor_seed: [7u8; 32],
                 fsync: false,
                 worm_artifact_retention: None,
-                ..ComplianceConfig::default()
             },
         )
         .unwrap(),
@@ -207,7 +206,6 @@ fn fifty_thousand_ops_across_epochs() {
             auditor_seed: [42u8; 32],
             fsync: false,
             worm_artifact_retention: None,
-            ..ComplianceConfig::default()
         },
     )
     .unwrap();
@@ -286,7 +284,6 @@ fn audit_under_migration_parallel_matches_serial() {
             auditor_seed: [0x4D; 32],
             fsync: false,
             worm_artifact_retention: None,
-            ..ComplianceConfig::default()
         },
     )
     .unwrap();
