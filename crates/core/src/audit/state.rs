@@ -669,23 +669,35 @@ impl AuditState {
         self.poisoned = true;
     }
 
-    /// Reads the epoch log and ingests the complete frames of its unread
-    /// tail, at most `cap` of them. `settled` says the log is quiesced and
-    /// flushed: a frame the log ends inside of is then evidence; otherwise
-    /// it is a flush racing the read and is left for the next call.
+    /// Reads the unread tail of the epoch log, at most `cap` frames of it,
+    /// and ingests its complete frames. `settled` says the log is quiesced
+    /// and flushed: a frame the log ends inside of is then evidence, and the
+    /// read is of the whole file against its trusted checksum (what a
+    /// verdict rests on). Otherwise it is a poll under load: only the bytes
+    /// past the cursor are read, and a partial frame is a flush racing the
+    /// read, left for the next call.
     pub(super) fn ingest(&mut self, cap: Option<usize>, settled: bool) {
         if self.poisoned {
             return;
         }
         let t0 = Instant::now();
-        let log = match self.worm.read_all(&epoch_log_name(self.epoch)) {
-            Ok(b) => b,
+        let name = epoch_log_name(self.epoch);
+        let base = self.byte_pos;
+        let read = if settled {
+            self.worm.read_all(&name).map(|log| (log, base as usize))
+        } else {
+            self.worm.stat(&name).and_then(|meta| {
+                let start = base.min(meta.len);
+                self.worm.read_at(&name, start, (meta.len - start) as usize).map(|tail| (tail, 0))
+            })
+        };
+        let (log, skip) = match read {
+            Ok(r) => r,
             Err(e) => return self.poison(e.to_string()),
         };
         // A trusted log shorter than the cursor is WORM truncation;
         // finalize's integrity check names the file.
-        let Some(tail) = log.get(self.byte_pos as usize..) else { return };
-        let base = self.byte_pos;
+        let Some(tail) = log.get(skip..) else { return };
 
         // --- Decode: frame walk, then chunked checksum + decode -----------
         let td = Instant::now();

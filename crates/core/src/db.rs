@@ -12,6 +12,7 @@
 //!   making the query verification interval "until the next audit".
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ccdb_btree::SplitPolicy;
@@ -25,9 +26,9 @@ use crate::audit::{AuditConfig, AuditReport, Auditor};
 use crate::logger::ComplianceLogger;
 use crate::migrate::{self, MigrationReport};
 use crate::plugin::CompliancePlugin;
-use crate::proof::{self, EpochHeadManager, ProvenRead, SignedHead};
+use crate::proof::{self, EpochHeadManager, ProvenRead, SealedEpoch, SignedHead};
 use crate::shred::{self, Hold, Vacuum, VacuumReport, HOLDS_RELATION};
-use crate::snapshot::SnapshotManager;
+use crate::snapshot::{Snapshot, SnapshotManager};
 
 /// Which architecture variant to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,6 +102,16 @@ impl VerificationTicket {
     }
 }
 
+/// Proof-carrying read counters (the scrape-endpoint source).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ProofStats {
+    /// Proof-carrying reads served.
+    pub reads: u64,
+    /// Sealed-epoch proof indexes built: one per seal, plus one per reopen
+    /// that goes on to serve proof reads. Anything more is a rebuild storm.
+    pub index_builds: u64,
+}
+
 /// The assembled compliant DBMS.
 pub struct CompliantDb {
     dir: PathBuf,
@@ -111,6 +122,12 @@ pub struct CompliantDb {
     plugin: Option<Arc<CompliancePlugin>>,
     epoch: Mutex<u64>,
     last_tick_interval: Mutex<u64>,
+    /// The last sealed epoch's proof index. Locked before `epoch` wherever
+    /// both are held, so a reader never pairs one epoch's number with
+    /// another's index.
+    sealed: Mutex<Option<Arc<SealedEpoch>>>,
+    proof_reads: AtomicU64,
+    proof_index_builds: AtomicU64,
 }
 
 impl CompliantDb {
@@ -212,6 +229,9 @@ impl CompliantDb {
             plugin,
             epoch: Mutex::new(epoch),
             last_tick_interval: Mutex::new(u64::MAX),
+            sealed: Mutex::new(None),
+            proof_reads: AtomicU64::new(0),
+            proof_index_builds: AtomicU64::new(0),
         };
         if db.engine.rel_id(HOLDS_RELATION).is_none() {
             db.engine.create_relation(HOLDS_RELATION, SplitPolicy::KeyOnly)?;
@@ -569,13 +589,11 @@ impl CompliantDb {
         plugin.end_trusted_reads();
         let outcome = outcome?;
         if outcome.report.is_clean() {
-            let retention_until = match self.config.worm_artifact_retention {
-                Some(d) => self.clock.now().saturating_add(d),
-                None => Timestamp::MAX,
-            };
-            auditor.snapshots().write_with_retention(
+            let retention_until = self.artifact_retention_until();
+            let time = self.clock.now();
+            let body_name = auditor.snapshots().write_with_retention(
                 epoch,
-                self.clock.now(),
+                time,
                 &outcome.tuple_hash,
                 &outcome.snapshot_pages,
                 retention_until,
@@ -589,12 +607,18 @@ impl CompliantDb {
                 outcome.report.stats.tuples_final,
                 retention_until,
             )?;
-            // Materialize the signed epoch head for client-verifiable
-            // reads. Idempotent and derived from the just-sealed snapshot,
-            // so a crash here only means lazy materialization later.
-            EpochHeadManager::new(self.worm.clone(), self.config.auditor_seed).ensure(
-                auditor.snapshots(),
-                epoch,
+            // The signed epoch head and the proof index for
+            // client-verifiable reads, from the pages just sealed rather
+            // than by reading them back. A crash from here on only means
+            // both are derived lazily from the snapshot later.
+            let sealed = self.build_proof_index(
+                body_name,
+                Snapshot {
+                    epoch,
+                    time,
+                    tuple_hash: outcome.tuple_hash,
+                    pages: outcome.snapshot_pages,
+                },
                 retention_until,
             )?;
             plugin.logger().advance_epoch(epoch + 1)?;
@@ -610,7 +634,11 @@ impl CompliantDb {
                     .append(&tail, bytes)
                     .map_err(|e| Error::ComplianceHalt(format!("WAL tail mirror: {e}")))
             }));
-            *self.epoch.lock() = epoch + 1;
+            {
+                let mut slot = self.sealed.lock();
+                *slot = Some(sealed);
+                *self.epoch.lock() = epoch + 1;
+            }
             // The new epoch needs its own witness/heartbeat for the current
             // interval; reset the tick guard so the next tick reruns.
             *self.last_tick_interval.lock() = u64::MAX;
@@ -660,33 +688,74 @@ impl CompliantDb {
     /// (absence carries no proof: the snapshot tree proves membership
     /// only). Errors with [`Error::NotFound`] before the first audit seals
     /// an epoch.
-    pub fn read_proof(&self, rel: RelId, key: &[u8]) -> Result<(SignedHead, Option<ProvenRead>)> {
+    ///
+    /// Served from the sealed epoch's [`SealedEpoch`] index: a directory
+    /// lookup, one ranged WORM read of the proven page, and a logarithmic
+    /// number of stored sibling hashes — independent of the database size.
+    pub fn read_proof(
+        &self,
+        rel: RelId,
+        key: &[u8],
+    ) -> Result<(Arc<SignedHead>, Option<ProvenRead>)> {
         if self.plugin.is_none() {
             return Err(Error::Invalid("proof-carrying reads require a compliance mode".into()));
         }
-        let epoch = *self.epoch.lock();
-        let Some(sealed) = epoch.checked_sub(1) else {
+        let index = self.sealed_epoch()?;
+        self.proof_reads.fetch_add(1, Ordering::Relaxed);
+        let proven = index.prove(&self.worm, rel, key)?;
+        Ok((index.head().clone(), proven))
+    }
+
+    /// Proof-carrying read counters.
+    pub fn proof_stats(&self) -> ProofStats {
+        ProofStats {
+            reads: self.proof_reads.load(Ordering::Relaxed),
+            index_builds: self.proof_index_builds.load(Ordering::Relaxed),
+        }
+    }
+
+    /// The last sealed epoch's proof index. The sealing audit installs it;
+    /// after a reopen (or a crash between snapshot seal and head seal, or
+    /// for an epoch sealed before heads existed) the first proof read
+    /// rebuilds it from the signature-verified snapshot. Concurrent first
+    /// readers wait on the one build rather than each starting their own.
+    fn sealed_epoch(&self) -> Result<Arc<SealedEpoch>> {
+        let mut slot = self.sealed.lock();
+        let Some(sealed) = self.epoch.lock().checked_sub(1) else {
             return Err(Error::NotFound(
                 "no sealed epoch yet; proof-carrying reads need one clean audit".into(),
             ));
         };
+        if let Some(index) = slot.as_ref().filter(|index| index.head().head.epoch == sealed) {
+            return Ok(index.clone());
+        }
         let snapshots = SnapshotManager::new(self.worm.clone(), self.config.auditor_seed);
-        let snap = snapshots.load(sealed)?.ok_or_else(|| {
+        let (body_name, snap) = snapshots.load_named(sealed)?.ok_or_else(|| {
             Error::NotFound(format!("snapshot for sealed epoch {sealed} is missing"))
         })?;
-        let retention_until = match self.config.worm_artifact_retention {
+        let index = self.build_proof_index(body_name, snap, self.artifact_retention_until())?;
+        *slot = Some(index.clone());
+        Ok(index)
+    }
+
+    fn build_proof_index(
+        &self,
+        body_name: String,
+        snap: Snapshot,
+        retention_until: Timestamp,
+    ) -> Result<Arc<SealedEpoch>> {
+        self.proof_index_builds.fetch_add(1, Ordering::Relaxed);
+        let heads = EpochHeadManager::new(self.worm.clone(), self.config.auditor_seed);
+        Ok(Arc::new(SealedEpoch::build(&heads, body_name, snap, retention_until)?))
+    }
+
+    /// The retention horizon to stamp on a WORM compliance artifact written
+    /// now.
+    fn artifact_retention_until(&self) -> Timestamp {
+        match self.config.worm_artifact_retention {
             Some(d) => self.clock.now().saturating_add(d),
             None => Timestamp::MAX,
-        };
-        // Lazy head materialization covers epochs sealed before this
-        // feature existed (and crash windows between snapshot and head).
-        let head = EpochHeadManager::new(self.worm.clone(), self.config.auditor_seed).ensure(
-            &snapshots,
-            sealed,
-            retention_until,
-        )?;
-        let proven = proof::build_read_proof(&snap, rel, key)?;
-        Ok((head, proven))
+        }
     }
 
     /// Simulates a crash and reopens (running recovery under the compliance

@@ -1,4 +1,5 @@
-//! Epoch heads on WORM and server-side read-proof construction.
+//! Epoch heads on WORM and the sealed-epoch proof index that serves
+//! proof-carrying reads.
 //!
 //! An **epoch head** is the client-facing summary of one sealed audit
 //! epoch: `(epoch, time, tuple ADD-HASH, Merkle root over the snapshot's
@@ -15,83 +16,53 @@
 //! idempotent and crash-safe — a crash between snapshot seal and head
 //! seal just means the head is materialized lazily on the next audit or
 //! the first proof-carrying read.
+//!
+//! # Cost model
+//!
+//! A [`SealedEpoch`] is built **once per sealed epoch**, in O(pages): by the
+//! sealing audit from the snapshot pages it already holds, or — after a
+//! reopen — from the signature-verified snapshot on the first proof read.
+//! It keeps the signed head, every Merkle level over the page leaf hashes,
+//! each page's byte range inside the snapshot body on WORM, and a directory
+//! from `(rel, key)` to the page and cell of the latest committed version.
+//! A read is then a directory lookup, **one ranged WORM read** of that
+//! page, and ⌈log₂ pages⌉ sibling copies: O(log pages), independent of the
+//! database size, with no signature work and no page hashing.
+//!
+//! # Trust
+//!
+//! The index is derived from the signature-verified snapshot and is never
+//! itself trusted by anyone: every proof it serves is checked by the client
+//! against the signed head. A wrong index entry can therefore make a read
+//! fail verification; it cannot forge one.
 
+use std::cmp::Reverse;
 use std::sync::Arc;
 
 use ccdb_common::{Error, RelId, Result, Timestamp};
-use ccdb_crypto::{Digest, LamportKeyPair, LamportPublicKey, LamportSignature, Sha256};
-use ccdb_storage::{PageType, TupleVersion, WriteTime};
-use ccdb_verifier::{merkle_path, merkle_root, page_leaf_hash, EpochHead, ProofPage, ReadProof};
+use ccdb_crypto::{AddHash, Digest, LamportKeyPair, Sha256};
+use ccdb_storage::{PageType, TupleRef, TupleVersion, WriteTime};
+use ccdb_verifier::{merkle_path, page_leaf_hash, EpochHead, MerkleTree, ProofPage, ReadProof};
 use ccdb_worm::WormServer;
 
-use crate::snapshot::{SnapPage, Snapshot, SnapshotManager};
+use crate::signed;
+use crate::snapshot::{page_offsets, SnapPage, Snapshot};
 
-/// WORM name of an epoch's head (generation 0).
+/// WORM name of an epoch's head (generation 0; retries after a crash
+/// mid-write use further generations, see [`crate::signed`]).
 pub fn epoch_head_name(epoch: u64) -> String {
-    head_gen_name(epoch, 0)
-}
-
-/// Like snapshots, heads use write generations: a crash mid-write leaves a
-/// partial generation that append-only WORM cannot finish in place, so the
-/// retry writes the next free generation and only a generation with all
-/// three files sealed counts.
-fn head_gen_name(epoch: u64, generation: u64) -> String {
-    if generation == 0 {
-        format!("epochhead/epoch-{epoch}")
-    } else {
-        format!("epochhead/epoch-{epoch}.r{generation}")
-    }
-}
-
-fn sealed_nonempty(worm: &WormServer, name: &str) -> bool {
-    worm.stat(name).map(|m| m.sealed && m.len > 0).unwrap_or(false)
-}
-
-fn complete_generation(worm: &WormServer, epoch: u64) -> Option<u64> {
-    let mut best = None;
-    let mut generation = 0u64;
-    loop {
-        let name = head_gen_name(epoch, generation);
-        if !worm.exists(&name) {
-            break;
-        }
-        if sealed_nonempty(worm, &name)
-            && sealed_nonempty(worm, &format!("{name}.sig"))
-            && sealed_nonempty(worm, &format!("{name}.pub"))
-        {
-            best = Some(generation);
-        }
-        generation += 1;
-    }
-    best
+    format!("epochhead/epoch-{epoch}")
 }
 
 /// Converts a snapshot page to the verifier's page representation.
-fn proof_page(p: &SnapPage) -> ProofPage {
+fn proof_page(p: SnapPage) -> ProofPage {
     ProofPage {
         pgno: p.pgno.0,
         rel: p.rel.0,
         kind: p.kind as u8,
         historical: p.historical,
         aux: p.aux,
-        cells: p.cells.clone(),
-    }
-}
-
-/// The Merkle leaves of a snapshot, in snapshot page order.
-fn snapshot_leaves(pages: &[SnapPage]) -> Vec<Digest> {
-    pages.iter().map(|p| page_leaf_hash(&proof_page(p))).collect()
-}
-
-/// Builds the (unsigned) head summarizing a snapshot.
-pub fn head_of_snapshot(snap: &Snapshot) -> EpochHead {
-    let leaves = snapshot_leaves(&snap.pages);
-    EpochHead {
-        epoch: snap.epoch,
-        time: snap.time.0,
-        tuple_hash: snap.tuple_hash.to_bytes(),
-        page_root: merkle_root(&leaves),
-        page_count: leaves.len() as u64,
+        cells: p.cells,
     }
 }
 
@@ -134,65 +105,50 @@ impl EpochHeadManager {
         self.keypair(epoch).public_key().fingerprint()
     }
 
-    /// Ensures the head for `epoch` exists on WORM, deriving it from the
-    /// sealed snapshot if needed, then returns it. Errors if the epoch has
-    /// no complete snapshot (it was never sealed by a clean audit).
-    pub fn ensure(
-        &self,
-        snapshots: &SnapshotManager,
-        epoch: u64,
-        retention_until: Timestamp,
-    ) -> Result<SignedHead> {
-        if let Some(found) = self.load(epoch)? {
+    /// Ensures `head` — the head its caller derived from the epoch's sealed
+    /// snapshot — is on WORM, and returns it signed. Idempotent: a head
+    /// already there (an earlier audit, or a crash after the head seal) is
+    /// loaded and must be the same head, since a one-time key signs once.
+    pub fn ensure(&self, head: &EpochHead, retention_until: Timestamp) -> Result<SignedHead> {
+        if let Some(found) = self.load(head.epoch)? {
+            if found.head != *head {
+                return Err(Error::corruption(format!(
+                    "epoch head {} on WORM does not summarize its sealed snapshot",
+                    head.epoch
+                )));
+            }
             return Ok(found);
         }
-        let snap = snapshots.load(epoch)?.ok_or_else(|| {
-            Error::NotFound(format!("no sealed snapshot for epoch {epoch}; audit first"))
-        })?;
-        let head = head_of_snapshot(&snap);
-        let head_bytes = head.encode();
-        let kp = self.keypair(epoch);
-        let sig_bytes = kp.sign(&EpochHead::signed_message(&head_bytes)).to_bytes();
-        let pub_bytes = kp.public_key().to_bytes();
-        let mut generation = 0u64;
-        while self.worm.exists(&head_gen_name(epoch, generation)) {
-            generation += 1;
-        }
-        let name = head_gen_name(epoch, generation);
-        for (file, bytes) in [
-            (name.clone(), head_bytes.as_slice()),
-            (format!("{name}.sig"), sig_bytes.as_slice()),
-            (format!("{name}.pub"), pub_bytes.as_slice()),
-        ] {
-            let f = self.worm.create(&file, retention_until)?;
-            self.worm.append(&f, bytes)?;
-            self.worm.seal(&file)?;
-        }
-        Ok(SignedHead { head, head_bytes, sig_bytes, pub_bytes })
+        let written = signed::write(
+            &self.worm,
+            &epoch_head_name(head.epoch),
+            head.encode(),
+            EpochHead::signed_message,
+            &self.keypair(head.epoch),
+            retention_until,
+        )?;
+        Ok(SignedHead {
+            head: head.clone(),
+            head_bytes: written.body,
+            sig_bytes: written.sig_bytes,
+            pub_bytes: written.pub_bytes,
+        })
     }
 
     /// Loads and verifies the head for `epoch` if a complete generation
     /// exists. `Ok(None)` when none was ever completed.
     pub fn load(&self, epoch: u64) -> Result<Option<SignedHead>> {
-        let Some(generation) = complete_generation(&self.worm, epoch) else {
+        let Some(loaded) = signed::load(
+            &self.worm,
+            &epoch_head_name(epoch),
+            "epoch-head",
+            &self.keypair(epoch),
+            EpochHead::signed_message,
+        )?
+        else {
             return Ok(None);
         };
-        let name = head_gen_name(epoch, generation);
-        let head_bytes = self.worm.read_all(&name)?;
-        let sig_bytes = self.worm.read_all(&format!("{name}.sig"))?;
-        let pub_bytes = self.worm.read_all(&format!("{name}.pub"))?;
-        let sig = LamportSignature::from_bytes(&sig_bytes)
-            .ok_or_else(|| Error::corruption("malformed epoch-head signature"))?;
-        let pk = LamportPublicKey::from_bytes(&pub_bytes)
-            .ok_or_else(|| Error::corruption("malformed epoch-head public key"))?;
-        let expect = self.keypair(epoch);
-        if expect.public_key().fingerprint() != pk.fingerprint() {
-            return Err(Error::corruption("epoch-head public key does not match auditor lineage"));
-        }
-        if !pk.verify(&EpochHead::signed_message(&head_bytes), &sig) {
-            return Err(Error::corruption("epoch-head signature verification failed"));
-        }
-        let head = EpochHead::decode(&head_bytes)
+        let head = EpochHead::decode(&loaded.body)
             .map_err(|e| Error::corruption(format!("epoch head undecodable: {e}")))?;
         if head.epoch != epoch {
             return Err(Error::corruption(format!(
@@ -200,7 +156,12 @@ impl EpochHeadManager {
                 head.epoch
             )));
         }
-        Ok(Some(SignedHead { head, head_bytes, sig_bytes, pub_bytes }))
+        Ok(Some(SignedHead {
+            head,
+            head_bytes: loaded.body,
+            sig_bytes: loaded.sig_bytes,
+            pub_bytes: loaded.pub_bytes,
+        }))
     }
 }
 
@@ -216,10 +177,196 @@ pub struct ProvenRead {
     pub proof_bytes: Vec<u8>,
 }
 
-/// Finds the latest committed version of `(rel, key)` in `snap` and builds
-/// its inclusion proof. Returns `Ok(None)` when the key has no committed
-/// version in the sealed epoch (absence is *not* proof-carrying: the Merkle
-/// tree proves membership only).
+/// One cell as a candidate answer: the latest version of a key is the one
+/// with the greatest `(commit_time, seq)` — `seq` breaks ties within one
+/// transaction's writes to the same key — and, among equal copies (a time
+/// split leaves the same version on two pages), the first in snapshot order.
+#[derive(Clone, Copy)]
+struct Candidate<'a> {
+    rel: RelId,
+    key: &'a [u8],
+    version: (Timestamp, u16),
+    page: u32,
+    cell: u32,
+}
+
+impl Candidate<'_> {
+    /// Orders candidates by key, the answer for a key last among them.
+    fn order(&self, other: &Self) -> std::cmp::Ordering {
+        let rank = |c: &Self| (c.version, Reverse(c.page), Reverse(c.cell));
+        (self.rel, self.key).cmp(&(other.rel, other.key)).then(rank(self).cmp(&rank(other)))
+    }
+}
+
+/// The committed tuple cells of a snapshot's leaf pages, as candidates.
+/// Cells that do not decode, pending cells, and cells filed under another
+/// relation's page are not answers to any read.
+fn candidates(pages: &[SnapPage]) -> impl Iterator<Item = Candidate<'_>> {
+    pages.iter().enumerate().filter(|(_, p)| p.kind == PageType::Leaf).flat_map(|(page, p)| {
+        p.cells.iter().enumerate().filter_map(move |(cell, bytes)| {
+            let t = TupleRef::decode_cell(bytes).ok()?;
+            let WriteTime::Committed(ct) = t.time else { return None };
+            (t.rel == p.rel).then_some(Candidate {
+                rel: t.rel,
+                key: t.key,
+                version: (ct, t.seq),
+                page: page as u32,
+                cell: cell as u32,
+            })
+        })
+    })
+}
+
+/// `(rel, key) → (page index, cell index)` of the latest committed version
+/// of every key in a sealed snapshot (deletions included), sorted by
+/// `(rel, key)` with the keys in one arena: 20 bytes plus the key per entry.
+struct KeyDirectory {
+    keys: Vec<u8>,
+    entries: Vec<DirEntry>,
+}
+
+struct DirEntry {
+    rel: RelId,
+    /// The key is `keys[key_start..key_end]`.
+    key_start: u32,
+    key_end: u32,
+    page: u32,
+    cell: u32,
+}
+
+impl KeyDirectory {
+    fn build(pages: &[SnapPage]) -> Result<KeyDirectory> {
+        let mut all: Vec<Candidate<'_>> = candidates(pages).collect();
+        all.sort_unstable_by(Candidate::order);
+        let mut dir = KeyDirectory { keys: Vec::new(), entries: Vec::new() };
+        for (i, c) in all.iter().enumerate() {
+            if all.get(i + 1).is_some_and(|next| (next.rel, next.key) == (c.rel, c.key)) {
+                continue; // a later candidate answers this key
+            }
+            let key_start = dir.keys.len() as u32;
+            dir.keys.extend_from_slice(c.key);
+            let key_end = u32::try_from(dir.keys.len())
+                .map_err(|_| Error::Invalid("sealed snapshot holds over 4 GiB of keys".into()))?;
+            dir.entries.push(DirEntry {
+                rel: c.rel,
+                key_start,
+                key_end,
+                page: c.page,
+                cell: c.cell,
+            });
+        }
+        Ok(dir)
+    }
+
+    fn get(&self, rel: RelId, key: &[u8]) -> Option<(usize, usize)> {
+        let key_of = |e: &DirEntry| &self.keys[e.key_start as usize..e.key_end as usize];
+        let found = self.entries.binary_search_by(|e| (e.rel, key_of(e)).cmp(&(rel, key))).ok()?;
+        Some((self.entries[found].page as usize, self.entries[found].cell as usize))
+    }
+}
+
+/// The proof index of one sealed epoch (see the module docs for what it
+/// holds, what it costs, and why it need not be trusted). Immutable; the
+/// database replaces it when the next epoch seals.
+pub struct SealedEpoch {
+    head: Arc<SignedHead>,
+    tree: MerkleTree,
+    /// WORM name of the snapshot body `page_offsets` index into.
+    body_name: String,
+    /// Page `i` is bytes `page_offsets[i]..page_offsets[i + 1]` of the body.
+    page_offsets: Vec<u64>,
+    directory: KeyDirectory,
+}
+
+impl SealedEpoch {
+    /// Builds the index over the pages of a sealed snapshot — `body_name`
+    /// is where [`crate::snapshot::SnapshotManager`] wrote (or loaded) it —
+    /// and makes sure the epoch's signed head is on WORM.
+    pub(crate) fn build(
+        heads: &EpochHeadManager,
+        body_name: String,
+        snap: Snapshot,
+        retention_until: Timestamp,
+    ) -> Result<SealedEpoch> {
+        let page_offsets = page_offsets(&snap.pages);
+        let directory = KeyDirectory::build(&snap.pages)?;
+        let leaves = snap.pages.into_iter().map(|p| page_leaf_hash(&proof_page(p))).collect();
+        let tree = MerkleTree::build(leaves);
+        let head = heads
+            .ensure(&epoch_head(snap.epoch, snap.time, &snap.tuple_hash, &tree), retention_until)?;
+        Ok(SealedEpoch { head: Arc::new(head), tree, body_name, page_offsets, directory })
+    }
+
+    /// The epoch's signed head.
+    pub fn head(&self) -> &Arc<SignedHead> {
+        &self.head
+    }
+
+    /// The latest committed version of `(rel, key)` in the sealed epoch
+    /// with its inclusion proof, or `Ok(None)` when the key has none
+    /// (absence is *not* proof-carrying: the Merkle tree proves membership
+    /// only). [`Error::NotFound`] if the snapshot has since been deleted
+    /// from WORM — a proof is served from the attested bytes or not at all.
+    pub(crate) fn prove(
+        &self,
+        worm: &WormServer,
+        rel: RelId,
+        key: &[u8],
+    ) -> Result<Option<ProvenRead>> {
+        let epoch = self.head.head.epoch;
+        if !worm.exists(&self.body_name) {
+            return Err(Error::NotFound(format!("snapshot for sealed epoch {epoch} is missing")));
+        }
+        let Some((page_index, cell_index)) = self.directory.get(rel, key) else {
+            return Ok(None);
+        };
+        let start = self.page_offsets[page_index];
+        let len = (self.page_offsets[page_index + 1] - start) as usize;
+        let page = SnapPage::decode(&worm.read_at(&self.body_name, start, len)?)?;
+        let stale = || Error::corruption("proof index does not match the sealed snapshot page");
+        let t = TupleRef::decode_cell(page.cells.get(cell_index).ok_or_else(stale)?)?;
+        let WriteTime::Committed(commit_time) = t.time else { return Err(stale()) };
+        if (t.rel, t.key) != (rel, key) {
+            return Err(stale());
+        }
+        let value = (!t.end_of_life).then(|| t.value.to_vec());
+        let proof = ReadProof {
+            epoch,
+            page: proof_page(page),
+            cell_index: cell_index as u32,
+            path: self.tree.path(page_index).ok_or_else(stale)?,
+        };
+        Ok(Some(ProvenRead { value, commit_time, proof_bytes: proof.encode() }))
+    }
+}
+
+/// The (unsigned) head summarizing a snapshot whose page tree is `tree`.
+fn epoch_head(epoch: u64, time: Timestamp, tuple_hash: &AddHash, tree: &MerkleTree) -> EpochHead {
+    EpochHead {
+        epoch,
+        time: time.0,
+        tuple_hash: tuple_hash.to_bytes(),
+        page_root: tree.root(),
+        page_count: tree.leaf_count() as u64,
+    }
+}
+
+/// The Merkle leaves of a snapshot, in snapshot page order.
+fn snapshot_leaves(pages: &[SnapPage]) -> Vec<Digest> {
+    pages.iter().map(|p| page_leaf_hash(&proof_page(p.clone()))).collect()
+}
+
+/// Builds the (unsigned) head summarizing a snapshot.
+pub fn head_of_snapshot(snap: &Snapshot) -> EpochHead {
+    let tree = MerkleTree::build(snapshot_leaves(&snap.pages));
+    epoch_head(snap.epoch, snap.time, &snap.tuple_hash, &tree)
+}
+
+/// The scan-based **reference** for [`SealedEpoch`]'s reads: finds the
+/// latest committed version of `(rel, key)` by decoding every tuple of the
+/// relation in `snap` and rebuilds the whole tree for its path. The test
+/// suites compare the index against it byte for byte; no read is served
+/// from it.
 pub fn build_read_proof(snap: &Snapshot, rel: RelId, key: &[u8]) -> Result<Option<ProvenRead>> {
     // (commit_time, seq) picks the latest version; seq breaks ties within
     // one transaction's writes to the same key.
@@ -252,7 +399,7 @@ pub fn build_read_proof(snap: &Snapshot, rel: RelId, key: &[u8]) -> Result<Optio
     let leaves = snapshot_leaves(&snap.pages);
     let proof = ReadProof {
         epoch: snap.epoch,
-        page: proof_page(&snap.pages[page_index]),
+        page: proof_page(snap.pages[page_index].clone()),
         cell_index,
         path: merkle_path(&leaves, page_index),
     };
@@ -306,6 +453,93 @@ mod tests {
                 },
             ],
         }
+    }
+
+    /// A snapshot that exercises every way the latest version is picked:
+    /// `seq` ties within one commit time, the same version copied onto two
+    /// pages (a time split), a cell filed under another relation's page, a
+    /// pending cell, an undecodable cell, and the same key in two relations.
+    fn tricky_snap() -> Snapshot {
+        let leaf = |pgno: u64, rel: u32, historical: bool, cells: Vec<Vec<u8>>| SnapPage {
+            pgno: PageNo(pgno),
+            rel: RelId(rel),
+            kind: PageType::Leaf,
+            historical,
+            aux: 0,
+            cells,
+        };
+        let pending = TupleVersion {
+            rel: RelId(1),
+            key: b"p".to_vec(),
+            time: WriteTime::Pending(ccdb_common::TxnId(9)),
+            seq: 0,
+            end_of_life: false,
+            value: b"pending".to_vec(),
+        }
+        .encode_cell();
+        Snapshot {
+            pages: vec![
+                leaf(
+                    3,
+                    1,
+                    true,
+                    vec![cell(1, b"k", 100, 5, false, b"copy"), cell(1, b"a", 50, 0, false, b"a1")],
+                ),
+                leaf(
+                    4,
+                    1,
+                    false,
+                    vec![
+                        cell(1, b"k", 100, 5, false, b"copy"),
+                        cell(1, b"s", 70, 1, false, b"first write"),
+                        cell(1, b"s", 70, 2, false, b"second write"),
+                        cell(2, b"x", 999, 0, false, b"misfiled"),
+                        pending,
+                        vec![0xFF, 1, 2],
+                    ],
+                ),
+                leaf(9, 2, false, vec![cell(2, b"k", 10, 0, true, b"")]),
+                snap().pages.remove(1), // an inner page
+            ],
+            ..snap()
+        }
+    }
+
+    #[test]
+    fn index_matches_the_scan_reference() {
+        let dir = std::env::temp_dir().join(format!("ccdb-proof-ix-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let clock = Arc::new(ccdb_common::VirtualClock::new());
+        let worm = Arc::new(WormServer::open(&dir, clock).unwrap());
+        let seed = [5u8; 32];
+        let s = tricky_snap();
+        let body_name = crate::snapshot::SnapshotManager::new(worm.clone(), seed)
+            .write(s.epoch, s.time, &s.tuple_hash, &s.pages)
+            .unwrap();
+        let heads = EpochHeadManager::new(worm.clone(), seed);
+        let index = SealedEpoch::build(&heads, body_name, tricky_snap(), Timestamp::MAX).unwrap();
+        assert_eq!(index.head().head, head_of_snapshot(&s));
+        assert_eq!(heads.load(s.epoch).unwrap().unwrap().head_bytes, index.head().head_bytes);
+        for (rel, key) in [(1, &b"k"[..]), (1, b"a"), (1, b"s"), (2, b"k"), (2, b"x"), (1, b"p")] {
+            let want = build_read_proof(&s, RelId(rel), key).unwrap();
+            let got = index.prove(&worm, RelId(rel), key).unwrap();
+            assert_eq!(got.is_some(), want.is_some(), "rel {rel} key {key:?}");
+            if let (Some(got), Some(want)) = (got, want) {
+                assert_eq!(got.proof_bytes, want.proof_bytes, "rel {rel} key {key:?}");
+                assert_eq!(got.value, want.value);
+                assert_eq!(got.commit_time, want.commit_time);
+            }
+        }
+        let s_proof = index.prove(&worm, RelId(1), b"s").unwrap().unwrap();
+        assert_eq!(s_proof.value.as_deref(), Some(&b"second write"[..]), "seq breaks the tie");
+        assert!(
+            index.prove(&worm, RelId(2), b"x").unwrap().is_none(),
+            "misfiled cell is no answer"
+        );
+        // A second build for the same epoch finds the head already sealed.
+        let body_name = index.body_name.clone();
+        assert!(SealedEpoch::build(&heads, body_name, tricky_snap(), Timestamp::MAX).is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

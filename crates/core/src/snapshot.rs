@@ -17,9 +17,11 @@
 use std::sync::Arc;
 
 use ccdb_common::{ByteReader, ByteWriter, Error, PageNo, RelId, Result, Timestamp};
-use ccdb_crypto::{sha256, AddHash, LamportKeyPair, LamportPublicKey, LamportSignature, Sha256};
+use ccdb_crypto::{sha256, AddHash, LamportKeyPair, Sha256};
 use ccdb_storage::PageType;
 use ccdb_worm::WormServer;
+
+use crate::signed;
 
 /// One page's state in a snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -51,49 +53,10 @@ pub struct Snapshot {
     pub pages: Vec<SnapPage>,
 }
 
-/// WORM name of an epoch's snapshot (generation 0).
+/// WORM name of an epoch's snapshot (generation 0; a retry after a crash
+/// mid-write goes to the next generation, see [`crate::signed`]).
 pub fn snapshot_name(epoch: u64) -> String {
-    gen_name(epoch, 0)
-}
-
-/// WORM name of one write *generation* of an epoch's snapshot. A snapshot
-/// is three sequentially written WORM files (body, signature, public key);
-/// a crash mid-write leaves a partial generation that can never be finished
-/// in place — WORM files are append-only and the retry's body differs
-/// (recovery changed the state and the clock moved). The retry therefore
-/// writes a fresh generation, and only a generation with **all three files
-/// sealed** counts as a completed audit.
-fn gen_name(epoch: u64, generation: u64) -> String {
-    if generation == 0 {
-        format!("snapshots/epoch-{epoch}")
-    } else {
-        format!("snapshots/epoch-{epoch}.r{generation}")
-    }
-}
-
-fn sealed_nonempty(worm: &WormServer, name: &str) -> bool {
-    worm.stat(name).map(|m| m.sealed && m.len > 0).unwrap_or(false)
-}
-
-/// The highest generation of `epoch`'s snapshot whose body, `.sig`, and
-/// `.pub` files are all sealed, if any.
-fn complete_generation(worm: &WormServer, epoch: u64) -> Option<u64> {
-    let mut best = None;
-    let mut generation = 0u64;
-    loop {
-        let name = gen_name(epoch, generation);
-        if !worm.exists(&name) {
-            break;
-        }
-        if sealed_nonempty(worm, &name)
-            && sealed_nonempty(worm, &format!("{name}.sig"))
-            && sealed_nonempty(worm, &format!("{name}.pub"))
-        {
-            best = Some(generation);
-        }
-        generation += 1;
-    }
-    best
+    format!("snapshots/epoch-{epoch}")
 }
 
 /// Whether `epoch`'s audit completed: some generation of its snapshot is
@@ -102,10 +65,76 @@ fn complete_generation(worm: &WormServer, epoch: u64) -> Option<u64> {
 /// injected torn append on the WORM device) re-runs the interrupted audit
 /// instead of trusting a half-written snapshot.
 pub fn snapshot_complete(worm: &WormServer, epoch: u64) -> bool {
-    complete_generation(worm, epoch).is_some()
+    signed::complete_generation(worm, &snapshot_name(epoch)).is_some()
 }
 
 const MAGIC: u32 = 0xCCDB_57A9;
+
+/// Encoded length of the body header (magic, epoch, time, tuple hash, page
+/// count) and of one page's fixed fields (pgno, rel, kind, historical, aux,
+/// cell count); each cell adds a `u32` length prefix.
+const HEADER_LEN: u64 = 4 + 8 + 8 + 64 + 4;
+const PAGE_FIXED_LEN: u64 = 8 + 4 + 1 + 1 + 8 + 4;
+
+impl SnapPage {
+    fn encode_into(&self, w: &mut ByteWriter) {
+        w.put_u64(self.pgno.0);
+        w.put_u32(self.rel.0);
+        w.put_u8(self.kind as u8);
+        w.put_u8(if self.historical { 1 } else { 0 });
+        w.put_u64(self.aux);
+        w.put_u32(self.cells.len() as u32);
+        for c in &self.cells {
+            w.put_len_bytes(c);
+        }
+    }
+
+    fn decode_from(r: &mut ByteReader<'_>) -> Result<SnapPage> {
+        let pgno = PageNo(r.get_u64()?);
+        let rel = RelId(r.get_u32()?);
+        let kind = match r.get_u8()? {
+            0 => PageType::Free,
+            1 => PageType::Leaf,
+            2 => PageType::Inner,
+            3 => PageType::Meta,
+            t => return Err(Error::corruption(format!("bad page kind {t} in snapshot"))),
+        };
+        let historical = r.get_u8()? != 0;
+        let aux = r.get_u64()?;
+        let cn = r.get_u32()? as usize;
+        let mut cells = Vec::with_capacity(cn.min(4096));
+        for _ in 0..cn {
+            cells.push(r.get_len_bytes()?.to_vec());
+        }
+        Ok(SnapPage { pgno, rel, kind, historical, aux, cells })
+    }
+
+    /// Decodes one page out of a snapshot body: exactly the bytes between
+    /// two consecutive [`page_offsets`].
+    pub fn decode(bytes: &[u8]) -> Result<SnapPage> {
+        let mut r = ByteReader::new(bytes);
+        let page = SnapPage::decode_from(&mut r)?;
+        if !r.is_exhausted() {
+            return Err(Error::corruption("trailing bytes after snapshot page"));
+        }
+        Ok(page)
+    }
+}
+
+/// Where each page sits inside the body [`SnapshotManager::encode`]
+/// produces for `pages`: page `i` is bytes `offsets[i]..offsets[i + 1]`
+/// (one more offset than pages), so one page can be fetched from WORM with a
+/// ranged read instead of loading the snapshot.
+pub fn page_offsets(pages: &[SnapPage]) -> Vec<u64> {
+    let mut offsets = Vec::with_capacity(pages.len() + 1);
+    let mut offset = HEADER_LEN;
+    offsets.push(offset);
+    for p in pages {
+        offset += PAGE_FIXED_LEN + p.cells.iter().map(|c| 4 + c.len() as u64).sum::<u64>();
+        offsets.push(offset);
+    }
+    offsets
+}
 
 /// Writes and signs snapshots; verifies and loads previous ones.
 pub struct SnapshotManager {
@@ -140,15 +169,7 @@ impl SnapshotManager {
         w.put_bytes(&tuple_hash.to_bytes());
         w.put_u32(pages.len() as u32);
         for p in pages {
-            w.put_u64(p.pgno.0);
-            w.put_u32(p.rel.0);
-            w.put_u8(p.kind as u8);
-            w.put_u8(if p.historical { 1 } else { 0 });
-            w.put_u64(p.aux);
-            w.put_u32(p.cells.len() as u32);
-            for c in &p.cells {
-                w.put_len_bytes(c);
-            }
+            p.encode_into(&mut w);
         }
         w.into_vec()
     }
@@ -167,23 +188,7 @@ impl SnapshotManager {
         let n = r.get_u32()? as usize;
         let mut pages = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
-            let pgno = PageNo(r.get_u64()?);
-            let rel = RelId(r.get_u32()?);
-            let kind = match r.get_u8()? {
-                0 => PageType::Free,
-                1 => PageType::Leaf,
-                2 => PageType::Inner,
-                3 => PageType::Meta,
-                t => return Err(Error::corruption(format!("bad page kind {t} in snapshot"))),
-            };
-            let historical = r.get_u8()? != 0;
-            let aux = r.get_u64()?;
-            let cn = r.get_u32()? as usize;
-            let mut cells = Vec::with_capacity(cn.min(4096));
-            for _ in 0..cn {
-                cells.push(r.get_len_bytes()?.to_vec());
-            }
-            pages.push(SnapPage { pgno, rel, kind, historical, aux, cells });
+            pages.push(SnapPage::decode_from(&mut r)?);
         }
         if !r.is_exhausted() {
             return Err(Error::corruption("trailing bytes in snapshot"));
@@ -191,10 +196,10 @@ impl SnapshotManager {
         Ok(Snapshot { epoch, time, tuple_hash, pages })
     }
 
-    /// Writes, signs, and seals the snapshot for `epoch`. `retention_until`
-    /// bounds how long the WORM copies must be kept (`Timestamp::MAX` for
-    /// indefinite; the architecture itself only needs a snapshot until the
-    /// audit after next).
+    /// Writes, signs, and seals the snapshot for `epoch`, returning the WORM
+    /// name of its body. `retention_until` bounds how long the WORM copies
+    /// must be kept (`Timestamp::MAX` for indefinite; the architecture
+    /// itself only needs a snapshot until the audit after next).
     pub fn write_with_retention(
         &self,
         epoch: u64,
@@ -202,31 +207,16 @@ impl SnapshotManager {
         tuple_hash: &AddHash,
         pages: &[SnapPage],
         retention_until: Timestamp,
-    ) -> Result<()> {
-        let body = Self::encode(epoch, time, tuple_hash, pages);
-        let kp = self.keypair(epoch);
-        let sig = kp.sign(&sha256(&body));
-        // A crashed earlier attempt leaves partial (never-sealed) files;
-        // WORM forbids recreating them, so the retry writes the next free
-        // generation. At most one generation ever completes: a completed
-        // snapshot ends the audit, and no further attempts run.
-        let mut generation = 0u64;
-        while self.worm.exists(&gen_name(epoch, generation)) {
-            generation += 1;
-        }
-        let name = gen_name(epoch, generation);
-        let sig_bytes = sig.to_bytes();
-        let pub_bytes = kp.public_key().to_bytes();
-        for (file, bytes) in [
-            (name.clone(), body.as_slice()),
-            (format!("{name}.sig"), sig_bytes.as_slice()),
-            (format!("{name}.pub"), pub_bytes.as_slice()),
-        ] {
-            let f = self.worm.create(&file, retention_until)?;
-            self.worm.append(&f, bytes)?;
-            self.worm.seal(&file)?;
-        }
-        Ok(())
+    ) -> Result<String> {
+        let written = signed::write(
+            &self.worm,
+            &snapshot_name(epoch),
+            Self::encode(epoch, time, tuple_hash, pages),
+            sha256,
+            &self.keypair(epoch),
+            retention_until,
+        )?;
+        Ok(written.name)
     }
 
     /// Writes a snapshot with indefinite retention.
@@ -236,7 +226,7 @@ impl SnapshotManager {
         time: Timestamp,
         tuple_hash: &AddHash,
         pages: &[SnapPage],
-    ) -> Result<()> {
+    ) -> Result<String> {
         self.write_with_retention(epoch, time, tuple_hash, pages, Timestamp::MAX)
     }
 
@@ -245,32 +235,25 @@ impl SnapshotManager {
     /// attempted (the first audit of a database); a partial-only snapshot
     /// (crash mid-write, epoch never completed) is an error.
     pub fn load(&self, epoch: u64) -> Result<Option<Snapshot>> {
-        if !self.worm.exists(&gen_name(epoch, 0)) {
+        Ok(self.load_named(epoch)?.map(|(_, snap)| snap))
+    }
+
+    /// [`SnapshotManager::load`], plus the WORM name of the body that was
+    /// loaded (what [`page_offsets`] are relative to).
+    pub fn load_named(&self, epoch: u64) -> Result<Option<(String, Snapshot)>> {
+        let base = snapshot_name(epoch);
+        if !self.worm.exists(&base) {
             return Ok(None);
         }
-        let Some(generation) = complete_generation(&self.worm, epoch) else {
-            return Err(Error::corruption(format!(
-                "no complete generation of snapshot for epoch {epoch} (crashed mid-write?)"
-            )));
-        };
-        let name = gen_name(epoch, generation);
-        let body = self.worm.read_all(&name)?;
-        let sig_bytes = self.worm.read_all(&format!("{name}.sig"))?;
-        let pub_bytes = self.worm.read_all(&format!("{name}.pub"))?;
-        let sig = LamportSignature::from_bytes(&sig_bytes)
-            .ok_or_else(|| Error::corruption("malformed snapshot signature"))?;
-        let pk = LamportPublicKey::from_bytes(&pub_bytes)
-            .ok_or_else(|| Error::corruption("malformed snapshot public key"))?;
         // Defense in depth: the key must also re-derive from the master seed
         // (the verifier is the auditor lineage itself).
-        let expect = self.keypair(epoch);
-        if expect.public_key().fingerprint() != pk.fingerprint() {
-            return Err(Error::corruption("snapshot public key does not match auditor lineage"));
-        }
-        if !pk.verify(&sha256(&body), &sig) {
-            return Err(Error::corruption("snapshot signature verification failed"));
-        }
-        Ok(Some(Self::decode(&body)?))
+        let loaded = signed::load(&self.worm, &base, "snapshot", &self.keypair(epoch), sha256)?
+            .ok_or_else(|| {
+                Error::corruption(format!(
+                    "no complete generation of snapshot for epoch {epoch} (crashed mid-write?)"
+                ))
+            })?;
+        Ok(Some((loaded.name, Self::decode(&loaded.body)?)))
     }
 }
 
@@ -341,6 +324,19 @@ mod tests {
         assert_eq!(snap.time, Timestamp(123));
         assert_eq!(snap.tuple_hash, h);
         assert_eq!(snap.pages, pages());
+    }
+
+    #[test]
+    fn page_offsets_name_each_page_in_the_body() {
+        let body = SnapshotManager::encode(7, Timestamp(123), &AddHash::new(), &pages());
+        let offsets = page_offsets(&pages());
+        assert_eq!(offsets.len(), pages().len() + 1);
+        for (range, page) in offsets.windows(2).zip(pages()) {
+            let bytes = &body[range[0] as usize..range[1] as usize];
+            assert_eq!(SnapPage::decode(bytes).unwrap(), page);
+        }
+        assert_eq!(offsets[offsets.len() - 1], body.len() as u64);
+        assert!(SnapPage::decode(&body[offsets[0] as usize..]).is_err(), "trailing bytes");
     }
 
     #[test]

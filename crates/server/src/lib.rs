@@ -486,6 +486,18 @@ fn register_metrics(registry: &Arc<Registry>, inner: &Arc<Inner>) {
     );
     let i = inner.clone();
     registry.collector_counter(
+        "ccdb_proof_reads_total",
+        "Proof-carrying reads served from the sealed epoch's proof index, per tenant.",
+        move || per_tenant(&i, |db| db.proof_stats().reads as f64),
+    );
+    let i = inner.clone();
+    registry.collector_counter(
+        "ccdb_proof_index_builds_total",
+        "Sealed-epoch proof indexes built (one per seal, one per reopen that serves proofs; more is a rebuild storm), per tenant.",
+        move || per_tenant(&i, |db| db.proof_stats().index_builds as f64),
+    );
+    let i = inner.clone();
+    registry.collector_counter(
         "ccdb_auto_seals_total",
         "Sealing audits triggered by the daemon's auto-seal policy.",
         move || vec![Sample::value(i.auto_seals.load(Ordering::Relaxed) as f64)],
@@ -662,19 +674,23 @@ fn stale_handle(txn: TxnId) -> Response {
 
 /// Maps a `read_proof` result onto the wire (shared by the plain path and
 /// the shard-routed path).
-fn proof_resp(result: Result<(ccdb_core::SignedHead, Option<ccdb_core::ProvenRead>)>) -> Response {
+fn proof_resp(
+    result: Result<(Arc<ccdb_core::SignedHead>, Option<ccdb_core::ProvenRead>)>,
+) -> Response {
     match result {
         Ok((head, proven)) => {
             let (value, proof) = match proven {
                 Some(p) => (p.value, Some(p.proof_bytes)),
                 None => (None, None),
             };
+            // The head is shared with the sealed epoch's proof index; the
+            // copies here are the ones that go out on the wire.
             Response::ReadProof {
                 epoch: head.head.epoch,
                 value,
-                head: head.head_bytes,
-                sig: head.sig_bytes,
-                pubkey: head.pub_bytes,
+                head: head.head_bytes.clone(),
+                sig: head.sig_bytes.clone(),
+                pubkey: head.pub_bytes.clone(),
                 proof,
             }
         }

@@ -300,6 +300,8 @@ fn streaming_daemon_and_verified_reads_over_rpc() {
         "ccdb_audit_lag_us",
         "ccdb_epochs_sealed_total",
         "ccdb_tamper_alerts_total",
+        "ccdb_proof_reads_total",
+        "ccdb_proof_index_builds_total",
     ] {
         assert!(
             body.lines().any(|l| l.starts_with(metric) && l.contains("tenant=\"acme\"")),
@@ -313,6 +315,13 @@ fn streaming_daemon_and_verified_reads_over_rpc() {
         .and_then(|v| v.parse::<f64>().ok())
         .unwrap();
     assert!(alerts >= 1.0, "tamper alert not exported: {alerts}");
+    // One seal, one index: the verified read was served from the index the
+    // sealing audit built, not from a rebuild.
+    assert!(
+        body.lines().any(|l| l == "ccdb_proof_index_builds_total{tenant=\"acme\"} 1"),
+        "{body}"
+    );
+    assert!(body.lines().any(|l| l == "ccdb_proof_reads_total{tenant=\"acme\"} 1"), "{body}");
 }
 
 #[test]

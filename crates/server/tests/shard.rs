@@ -132,7 +132,16 @@ fn sharded_server_serves_cross_shard_txns_over_rpc() {
             .and_then(|v| v.parse().ok())
             .unwrap_or_else(|| panic!("no ccdb_commits_total sample for {shard}"));
         assert!(value > 0.0, "zero commit counter for {shard}");
+        // Each shard sealed once and serves proofs from that one index.
+        let builds = format!("ccdb_proof_index_builds_total{{{label}}} 1");
+        assert!(body.lines().any(|l| l == builds), "missing {builds:?}:\n{body}");
     }
+    let reads: f64 = body
+        .lines()
+        .filter(|l| l.starts_with("ccdb_proof_reads_total{"))
+        .filter_map(|l| l.rsplit(' ').next().and_then(|v| v.parse::<f64>().ok()))
+        .sum();
+    assert_eq!(reads, 2.0, "proof reads across shards:\n{body}");
 }
 
 /// The auto-seal policy: with `--auto-seal-ms` set, the audit daemon runs a

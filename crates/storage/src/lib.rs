@@ -36,4 +36,4 @@ pub use page::{Page, PageType, HEADER_SIZE, PAGE_SIZE, PAGE_USABLE};
 pub fn page_header_size() -> usize {
     HEADER_SIZE
 }
-pub use tuple::{TupleKey, TupleVersion, WriteTime};
+pub use tuple::{TupleKey, TupleRef, TupleVersion, WriteTime};

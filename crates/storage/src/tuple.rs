@@ -69,6 +69,62 @@ pub struct TupleVersion {
     pub value: Vec<u8>,
 }
 
+/// A [`TupleVersion`] decoded in place: key and value borrow from the cell.
+/// For scans that look at many cells and keep few (no allocation per cell).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TupleRef<'a> {
+    /// Owning relation.
+    pub rel: RelId,
+    /// Primary key bytes.
+    pub key: &'a [u8],
+    /// Start time (possibly still a transaction id).
+    pub time: WriteTime,
+    /// Tuple-order number within its page.
+    pub seq: u16,
+    /// End-of-life marker.
+    pub end_of_life: bool,
+    /// The row payload.
+    pub value: &'a [u8],
+}
+
+impl<'a> TupleRef<'a> {
+    /// Decodes an on-page cell without copying; accepts and rejects exactly
+    /// what [`TupleVersion::decode_cell`] does (which is built on it).
+    pub fn decode_cell(cell: &'a [u8]) -> Result<TupleRef<'a>> {
+        let mut r = ByteReader::new(cell);
+        let eol = match r.get_u8()? {
+            0 => false,
+            1 => true,
+            v => return Err(Error::corruption(format!("bad end-of-life flag {v}"))),
+        };
+        let time = match r.get_u8()? {
+            TIME_PENDING => WriteTime::Pending(TxnId(r.get_u64()?)),
+            TIME_COMMITTED => WriteTime::Committed(Timestamp(r.get_u64()?)),
+            v => return Err(Error::corruption(format!("bad time tag {v}"))),
+        };
+        let seq = r.get_u16()?;
+        let rel = RelId(r.get_u32()?);
+        let key = r.get_len_bytes()?;
+        let value = r.get_len_bytes()?;
+        if !r.is_exhausted() {
+            return Err(Error::corruption("trailing bytes after tuple version"));
+        }
+        Ok(TupleRef { rel, key, time, seq, end_of_life: eol, value })
+    }
+
+    /// The owned form.
+    pub fn to_version(&self) -> TupleVersion {
+        TupleVersion {
+            rel: self.rel,
+            key: self.key.to_vec(),
+            time: self.time,
+            seq: self.seq,
+            end_of_life: self.end_of_life,
+            value: self.value.to_vec(),
+        }
+    }
+}
+
 const TIME_PENDING: u8 = 0;
 const TIME_COMMITTED: u8 = 1;
 
@@ -98,25 +154,7 @@ impl TupleVersion {
     /// [`Error::Corruption`], never a panic (the auditor feeds this bytes an
     /// adversary controlled).
     pub fn decode_cell(cell: &[u8]) -> Result<TupleVersion> {
-        let mut r = ByteReader::new(cell);
-        let eol = match r.get_u8()? {
-            0 => false,
-            1 => true,
-            v => return Err(Error::corruption(format!("bad end-of-life flag {v}"))),
-        };
-        let time = match r.get_u8()? {
-            TIME_PENDING => WriteTime::Pending(TxnId(r.get_u64()?)),
-            TIME_COMMITTED => WriteTime::Committed(Timestamp(r.get_u64()?)),
-            v => return Err(Error::corruption(format!("bad time tag {v}"))),
-        };
-        let seq = r.get_u16()?;
-        let rel = RelId(r.get_u32()?);
-        let key = r.get_len_bytes()?.to_vec();
-        let value = r.get_len_bytes()?.to_vec();
-        if !r.is_exhausted() {
-            return Err(Error::corruption("trailing bytes after tuple version"));
-        }
-        Ok(TupleVersion { rel, key, time, seq, end_of_life: eol, value })
+        Ok(TupleRef::decode_cell(cell)?.to_version())
     }
 
     /// The page-independent identity bytes hashed by the completeness check.

@@ -289,57 +289,81 @@ fn node_hash(left: &Digest, right: &Digest) -> Digest {
     h.finalize()
 }
 
-/// Merkle root over `leaves`. Odd nodes at any level are carried up
-/// unchanged (no duplication). An empty tree hashes the leaf domain alone,
-/// so "no pages" still has a well-defined, non-forgeable root.
-pub fn merkle_root(leaves: &[Digest]) -> Digest {
-    if leaves.is_empty() {
-        return sha256(LEAF_DOMAIN);
-    }
-    let mut level: Vec<Digest> = leaves.to_vec();
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        for pair in level.chunks(2) {
-            if pair.len() == 2 {
-                next.push(node_hash(&pair[0], &pair[1]));
-            } else {
-                next.push(pair[0]);
-            }
-        }
-        level = next;
-    }
-    level[0]
+/// Every level of the Merkle tree over one epoch's page leaf hashes, bottom
+/// (the leaves) to top (the root alone). Odd nodes at any level are carried
+/// up unchanged (no duplication). Building is the only pass that hashes;
+/// [`MerkleTree::root`] and [`MerkleTree::path`] read the stored levels, so
+/// a server that keeps the tree per sealed epoch serves a path in
+/// O(log leaves) copies.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct MerkleTree {
+    /// `levels[0]` holds the leaves; each further level halves (rounding
+    /// up) until one node remains. Empty for an empty tree.
+    levels: Vec<Vec<Digest>>,
 }
 
-/// The inclusion path for `leaves[index]`: sibling hashes from the bottom
-/// level up, each tagged with whether the sibling sits on the left.
-/// Panics if `index` is out of range (server-side builder bug).
-pub fn merkle_path(leaves: &[Digest], index: usize) -> Vec<(bool, Digest)> {
-    assert!(index < leaves.len(), "merkle_path index out of range");
-    let mut path = Vec::new();
-    let mut level: Vec<Digest> = leaves.to_vec();
-    let mut i = index;
-    while level.len() > 1 {
-        if i.is_multiple_of(2) {
-            if i + 1 < level.len() {
+impl MerkleTree {
+    /// Builds every level over `leaves`.
+    pub fn build(leaves: Vec<Digest>) -> MerkleTree {
+        if leaves.is_empty() {
+            return MerkleTree { levels: Vec::new() };
+        }
+        let mut levels = vec![leaves];
+        while let Some(level) = levels.last().filter(|level| level.len() > 1) {
+            let next = level
+                .chunks(2)
+                .map(|pair| if pair.len() == 2 { node_hash(&pair[0], &pair[1]) } else { pair[0] })
+                .collect();
+            levels.push(next);
+        }
+        MerkleTree { levels }
+    }
+
+    /// Number of leaves.
+    pub fn leaf_count(&self) -> usize {
+        self.levels.first().map_or(0, Vec::len)
+    }
+
+    /// The root. An empty tree hashes the leaf domain alone, so "no pages"
+    /// still has a well-defined, non-forgeable root.
+    pub fn root(&self) -> Digest {
+        match self.levels.last() {
+            Some(top) => top[0],
+            None => sha256(LEAF_DOMAIN),
+        }
+    }
+
+    /// The inclusion path for leaf `index`: sibling hashes from the bottom
+    /// level up, each tagged with whether the sibling sits on the left.
+    /// `None` if `index` is out of range.
+    pub fn path(&self, index: usize) -> Option<Vec<(bool, Digest)>> {
+        if index >= self.leaf_count() {
+            return None;
+        }
+        let mut path = Vec::with_capacity(self.levels.len());
+        let mut i = index;
+        for level in &self.levels[..self.levels.len() - 1] {
+            if i % 2 == 1 {
+                path.push((true, level[i - 1]));
+            } else if i + 1 < level.len() {
                 path.push((false, level[i + 1]));
             }
             // else: odd node carried up, no sibling at this level
-        } else {
-            path.push((true, level[i - 1]));
+            i /= 2;
         }
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        for pair in level.chunks(2) {
-            if pair.len() == 2 {
-                next.push(node_hash(&pair[0], &pair[1]));
-            } else {
-                next.push(pair[0]);
-            }
-        }
-        level = next;
-        i /= 2;
+        Some(path)
     }
-    path
+}
+
+/// Merkle root over `leaves` (see [`MerkleTree`]).
+pub fn merkle_root(leaves: &[Digest]) -> Digest {
+    MerkleTree::build(leaves.to_vec()).root()
+}
+
+/// The inclusion path for `leaves[index]` (see [`MerkleTree::path`]).
+/// Panics if `index` is out of range (server-side builder bug).
+pub fn merkle_path(leaves: &[Digest], index: usize) -> Vec<(bool, Digest)> {
+    MerkleTree::build(leaves.to_vec()).path(index).expect("merkle_path index out of range")
 }
 
 /// Folds a leaf hash up an inclusion path.
@@ -582,6 +606,36 @@ mod tests {
                 let path = merkle_path(&leaves, i);
                 assert_eq!(fold_path(*leaf, &path), root, "n={n} i={i}");
             }
+        }
+    }
+
+    /// The construction, restated recursively: split at the largest power
+    /// of two below `n` (what carrying odd nodes up amounts to).
+    fn naive_root(leaves: &[Digest]) -> Digest {
+        match leaves.len() {
+            0 => sha256(LEAF_DOMAIN),
+            1 => leaves[0],
+            n => {
+                let split = n.next_power_of_two() / 2;
+                node_hash(&naive_root(&leaves[..split]), &naive_root(&leaves[split..]))
+            }
+        }
+    }
+
+    #[test]
+    fn stored_levels_match_the_recursive_definition() {
+        for n in 0..=33usize {
+            let leaves: Vec<Digest> = (0..n).map(|i| sha256(&[i as u8, 7])).collect();
+            let tree = MerkleTree::build(leaves.clone());
+            assert_eq!(tree.leaf_count(), n);
+            assert_eq!(tree.root(), naive_root(&leaves), "n={n}");
+            assert_eq!(merkle_root(&leaves), tree.root());
+            for (i, leaf) in leaves.iter().enumerate() {
+                let path = tree.path(i).unwrap();
+                assert!(path.len() <= n.next_power_of_two().trailing_zeros() as usize);
+                assert_eq!(fold_path(*leaf, &path), tree.root(), "n={n} i={i}");
+            }
+            assert!(tree.path(n).is_none(), "n={n}: out-of-range leaf has no path");
         }
     }
 

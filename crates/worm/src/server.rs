@@ -20,12 +20,15 @@ pub struct WormStats {
     pub bytes: u64,
     /// Total appends served.
     pub appends: u64,
+    /// Total payload bytes served by reads (whole-file and ranged).
+    pub bytes_read: u64,
 }
 
 struct Inner {
     meta: BTreeMap<String, FileMeta>,
     journal: fs::File,
     appends: u64,
+    bytes_read: u64,
 }
 
 /// The trusted WORM compliance server. See the crate docs for the contract.
@@ -137,7 +140,12 @@ impl WormServer {
         let server = WormServer {
             root,
             clock,
-            inner: std::sync::Arc::new(Mutex::new(Inner { meta, journal, appends: 0 })),
+            inner: std::sync::Arc::new(Mutex::new(Inner {
+                meta,
+                journal,
+                appends: 0,
+                bytes_read: 0,
+            })),
             injector: std::sync::Arc::new(Mutex::new(None)),
             ns: String::new(),
         };
@@ -358,10 +366,12 @@ impl WormServer {
     }
 
     fn read_at_full(&self, name: &str, offset: u64, len: usize) -> Result<Vec<u8>> {
-        let inner = self.inner.lock();
+        let mut inner = self.inner.lock();
         let m =
             inner.meta.get(name).ok_or_else(|| Error::NotFound(format!("WORM file {name:?}")))?;
-        if offset + len as u64 > m.len {
+        // `checked_add`: offsets arrive from callers' own indexes and, one
+        // layer up, from the wire; a wrapped sum must not pass the bound.
+        if offset.checked_add(len as u64).is_none_or(|end| end > m.len) {
             return Err(Error::Invalid(format!(
                 "read past end of WORM file {name:?} ({} + {} > {})",
                 offset, len, m.len
@@ -373,6 +383,7 @@ impl WormServer {
         f.seek(SeekFrom::Start(offset)).map_err(|e| Error::io("seeking WORM file", e))?;
         let mut buf = vec![0u8; len];
         f.read_exact(&mut buf).map_err(|e| Error::io(format!("reading WORM file {name:?}"), e))?;
+        inner.bytes_read += len as u64;
         Ok(buf)
     }
 
@@ -489,8 +500,9 @@ impl WormServer {
     }
 
     /// Aggregate statistics for reporting, scoped to this view's namespace
-    /// (the root view reports the whole volume). `appends` is volume-global:
-    /// it counts served append operations, not per-namespace traffic.
+    /// (the root view reports the whole volume). `appends` and `bytes_read`
+    /// are volume-global: they count served operations, not per-namespace
+    /// traffic.
     pub fn stats(&self) -> WormStats {
         let inner = self.inner.lock();
         let scoped = inner.meta.iter().filter(|(n, _)| n.starts_with(&self.ns));
@@ -498,6 +510,7 @@ impl WormServer {
             files: scoped.clone().count() as u64,
             bytes: scoped.map(|(_, m)| m.len).sum(),
             appends: inner.appends,
+            bytes_read: inner.bytes_read,
         }
     }
 }
@@ -557,6 +570,20 @@ mod tests {
         assert_eq!(s.read_all("L/epoch-0").unwrap(), b"hello worm");
         assert_eq!(s.read_at("L/epoch-0", 6, 4).unwrap(), b"worm");
         assert_eq!(s.stat("L/epoch-0").unwrap().len, 10);
+    }
+
+    #[test]
+    fn ranged_read_bound_check_cannot_wrap() {
+        let (s, _, _d) = server();
+        let f = s.create("L/epoch-0", Timestamp::MAX).unwrap();
+        s.append(&f, b"0123456789").unwrap();
+        // offset + len wraps to 6 in u64 arithmetic; it must still be refused.
+        assert!(matches!(s.read_at("L/epoch-0", u64::MAX - 1, 8), Err(Error::Invalid(_))));
+        assert!(matches!(s.read_at("L/epoch-0", 4, 7), Err(Error::Invalid(_))));
+        assert_eq!(s.read_at("L/epoch-0", 10, 0).unwrap(), b"");
+        assert_eq!(s.stats().bytes_read, 0, "refused reads serve no bytes");
+        assert_eq!(s.read_at("L/epoch-0", 4, 6).unwrap(), b"456789");
+        assert_eq!(s.stats().bytes_read, 6);
     }
 
     #[test]
