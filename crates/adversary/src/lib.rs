@@ -14,6 +14,8 @@
 //! integration suite: the point of this crate is to demonstrate that the
 //! auditor raises the *specific* violation the paper promises.
 
+#![forbid(unsafe_code)]
+
 use std::fs::{self, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};

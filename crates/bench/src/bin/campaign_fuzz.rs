@@ -10,6 +10,8 @@
 //! `CCDB_CAMPAIGN_REPLAY_SEED=<seed> cargo test --test campaign \
 //!  replay_campaign_seed -- --ignored --nocapture`.
 
+#![forbid(unsafe_code)]
+
 use ccdb_bench::campaign::{run_campaign_schedule, CampaignFailure, CAMPAIGN_BASE_SEED};
 
 fn env_u64(name: &str, default: u64) -> u64 {

@@ -10,6 +10,8 @@
 //! the workload (closer to the paper's 100 K transactions, minutes of wall
 //! time per figure on one core).
 
+#![forbid(unsafe_code)]
+
 use ccdb_bench::*;
 use ccdb_core::Mode;
 use ccdb_tpcc::TpccScale;

@@ -17,6 +17,8 @@
 //! keep runs laptop-sized; the virtual clock compresses regret intervals so
 //! the periodic dirty-page sweep fires realistically often.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;

@@ -30,6 +30,8 @@
 //!   leaves are tolerated, matching append-mostly reality and keeping page
 //!   histories simple for the auditor.
 
+#![forbid(unsafe_code)]
+
 pub mod check;
 pub mod entry;
 pub mod hooks;

@@ -9,6 +9,8 @@
 //!
 //! Nothing here knows about databases; it is deliberately dependency-free.
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod error;
 pub mod ids;

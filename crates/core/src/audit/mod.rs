@@ -61,13 +61,12 @@ use std::sync::{Arc, OnceLock};
 
 use ccdb_btree::{check_tree, BTree, IntegrityError, TimeRank};
 use ccdb_common::{ByteReader, ByteWriter, Duration, PageNo, RelId, Result, Timestamp, TxnId};
-use ccdb_crypto::{AddHash, Digest};
+use ccdb_crypto::AddHash;
 use ccdb_engine::Engine;
 use ccdb_storage::{BufferPool, DiskManager, Page, PageType, TupleVersion, WriteTime};
 use ccdb_worm::WormServer;
 
 use crate::migrate::MigratedPage;
-use crate::plugin::hs_element_bytes;
 use crate::records::LogRecord;
 use crate::shred::{Hold, HOLDS_RELATION};
 use crate::snapshot::{SnapPage, SnapshotManager};
@@ -994,27 +993,6 @@ impl Auditor {
         b.copy_from_slice(h);
         Some(AddHash::from_bytes(&b))
     }
-}
-
-/// Read-hash of a leaf page state at a given `READ` offset: each pending
-/// tuple is hashed with its commit time iff its `STAMP_TRANS` appears
-/// earlier in `L` than the read.
-fn leaf_read_hash(
-    tuples: &[TupleVersion],
-    stamps: &HashMap<TxnId, (Timestamp, u64)>,
-    read_offset: u64,
-) -> Digest {
-    let mut sorted: Vec<&TupleVersion> = tuples.iter().collect();
-    sorted.sort_by_key(|t| t.seq);
-    let mut chain = ccdb_crypto::HsChain::new();
-    for t in sorted {
-        let rc = t.time.pending().and_then(|txn| match stamps.get(&txn) {
-            Some((ct, soff)) if *soff < read_offset => Some(*ct),
-            _ => None,
-        });
-        chain.extend(&hs_element_bytes(t, rc));
-    }
-    chain.value()
 }
 
 /// The `(key, rank)` order of an encoded index entry; undecodable cells sort

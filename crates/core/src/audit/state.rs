@@ -66,14 +66,14 @@ use ccdb_worm::WormServer;
 
 use crate::logger::{epoch_log_name, waltail_name, witness_name};
 use crate::migrate::MigratedPage;
-use crate::plugin::inner_hs;
+use crate::plugin::{inner_hs, leaf_hs};
 use crate::records::{LogFrame, LogFrames, LogRecord, SplitSide};
 
 use super::{
     audit_debug, canonicalize, check_relation_tree, commit_time, effective_threads, entry_order,
-    fold_identity, leaf_read_hash, leftover_states_check, resolve_tuple, scan_final_page,
-    shred_legality, two_pc_checks, worm_integrity, AuditConfig, AuditOutcome, AuditReport,
-    AuditStats, Auditor, FinalScan, ResolvedTuple, TwoPcBook, Violation,
+    fold_identity, leftover_states_check, resolve_tuple, scan_final_page, shred_legality,
+    two_pc_checks, worm_integrity, AuditConfig, AuditOutcome, AuditReport, AuditStats, Auditor,
+    FinalScan, ResolvedTuple, TwoPcBook, Violation,
 };
 
 /// Replayed state of one page.
@@ -303,8 +303,15 @@ impl Replayer<'_> {
                         Some(st) if st.kind == Some(PageType::Inner) => {
                             inner_hs(st.cells.iter().map(|c| c.as_slice()))
                         }
-                        Some(st) => leaf_read_hash(&st.tuples, self.stamps, off),
-                        None => leaf_read_hash(&[], self.stamps, off),
+                        st => {
+                            // A pending tuple hashes with its commit time iff
+                            // its STAMP_TRANS appears earlier in L than the READ.
+                            let tuples = st.map_or(&[][..], |st| st.tuples.as_slice());
+                            leaf_hs(tuples, |txn| {
+                                let stamp = self.stamps.get(&txn).filter(|(_, soff)| *soff < off);
+                                stamp.map(|(ct, _)| *ct)
+                            })
+                        }
                     };
                     if expect != hs {
                         if audit_debug() {

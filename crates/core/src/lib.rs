@@ -19,6 +19,8 @@
 //! verification interval** — appear as [`db::ComplianceConfig`] fields and as
 //! audit checks respectively.
 
+#![forbid(unsafe_code)]
+
 pub mod audit;
 pub mod db;
 pub mod logger;

@@ -32,48 +32,45 @@ use std::sync::Arc;
 use ccdb_btree::{SplitKind, StructureHooks};
 use ccdb_common::sync::Mutex;
 use ccdb_common::{ClockRef, PageNo, Result, Timestamp, TxnId};
-use ccdb_crypto::{Digest, HsChain};
+use ccdb_crypto::{Digest, HsChain, Sha256};
 use ccdb_engine::EngineHooks;
 use ccdb_storage::{Page, PageStore, PageType, TupleVersion, WriteTime};
 
 use crate::logger::ComplianceLogger;
 use crate::records::{LogRecord, SplitSide};
 
-/// The `Hs` element bytes for one leaf tuple with its time resolved:
-/// `(rel, key, kind, time-or-txn, eol, value, seq)`.
-pub fn hs_element_bytes(t: &TupleVersion, resolved_commit: Option<Timestamp>) -> Vec<u8> {
-    let mut w = ccdb_common::ByteWriter::with_capacity(32 + t.key.len() + t.value.len());
-    w.put_u32(t.rel.0);
-    w.put_len_bytes(&t.key);
-    match (t.time, resolved_commit) {
-        (_, Some(ct)) => {
-            w.put_u8(1);
-            w.put_u64(ct.0);
-        }
-        (WriteTime::Committed(ct), None) => {
-            w.put_u8(1);
-            w.put_u64(ct.0);
-        }
-        (WriteTime::Pending(txn), None) => {
-            w.put_u8(0);
-            w.put_u64(txn.0);
-        }
-    }
-    w.put_u8(if t.end_of_life { 1 } else { 0 });
-    w.put_len_bytes(&t.value);
-    w.put_u16(t.seq);
-    w.into_vec()
+/// The hash of one leaf tuple's `Hs` element with its time resolved: the
+/// fields `(rel, key, kind, time-or-txn, eol, value, seq)` — little-endian,
+/// `key` and `value` length-prefixed — streamed straight into the hasher.
+fn hs_element_hash(t: &TupleVersion, resolved_commit: Option<Timestamp>) -> Digest {
+    let (kind, time) = match (t.time, resolved_commit) {
+        (_, Some(ct)) | (WriteTime::Committed(ct), None) => (1u8, ct.0),
+        (WriteTime::Pending(txn), None) => (0u8, txn.0),
+    };
+    let mut h = Sha256::new();
+    h.update(&t.rel.0.to_le_bytes())
+        .update(&(t.key.len() as u32).to_le_bytes())
+        .update(&t.key)
+        .update(&[kind])
+        .update(&time.to_le_bytes())
+        .update(&[u8::from(t.end_of_life)])
+        .update(&(t.value.len() as u32).to_le_bytes())
+        .update(&t.value)
+        .update(&t.seq.to_le_bytes());
+    h.finalize()
 }
 
 /// `Hs` over a leaf page: tuples in tuple-order-number order, each resolved
-/// through `resolve` (commit time if known).
+/// through `resolve` (commit time if known). The writer resolves through
+/// the commit times it has seen; the auditor through the `STAMP_TRANS`
+/// records that precede the `READ` in `L`.
 pub fn leaf_hs(tuples: &[TupleVersion], resolve: impl Fn(TxnId) -> Option<Timestamp>) -> Digest {
     let mut sorted: Vec<&TupleVersion> = tuples.iter().collect();
     sorted.sort_by_key(|t| t.seq);
     let mut chain = HsChain::new();
     for t in sorted {
         let rc = t.time.pending().and_then(&resolve);
-        chain.extend(&hs_element_bytes(t, rc));
+        chain.extend_hash(&hs_element_hash(t, rc));
     }
     chain.value()
 }
@@ -562,7 +559,8 @@ pub fn page_content_hash(cells: &[Vec<u8>]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccdb_common::RelId;
+    use ccdb_common::{RelId, SplitMix64};
+    use ccdb_crypto::{sha256, to_hex};
 
     fn tv(key: &[u8], seq: u16, time: WriteTime, value: &[u8]) -> TupleVersion {
         TupleVersion {
@@ -573,6 +571,87 @@ mod tests {
             end_of_life: false,
             value: value.to_vec(),
         }
+    }
+
+    /// The element encoding spelled out with the workspace codec: the bytes
+    /// `hs_element_hash` streams must be exactly these.
+    fn reference_element_bytes(t: &TupleVersion, resolved: Option<Timestamp>) -> Vec<u8> {
+        let mut w = ccdb_common::ByteWriter::new();
+        w.put_u32(t.rel.0);
+        w.put_len_bytes(&t.key);
+        match (t.time, resolved) {
+            (_, Some(ct)) | (WriteTime::Committed(ct), None) => {
+                w.put_u8(1);
+                w.put_u64(ct.0);
+            }
+            (WriteTime::Pending(txn), None) => {
+                w.put_u8(0);
+                w.put_u64(txn.0);
+            }
+        }
+        w.put_u8(u8::from(t.end_of_life));
+        w.put_len_bytes(&t.value);
+        w.put_u16(t.seq);
+        w.into_vec()
+    }
+
+    /// 30 seeded tuples: shuffled tuple-order numbers, committed and pending
+    /// times, end-of-life versions, four relations.
+    fn golden_tuples() -> Vec<TupleVersion> {
+        let mut rng = SplitMix64::seed_from_u64(0x1EAF_0030);
+        let mut seqs: Vec<u16> = (0..30).collect();
+        rng.shuffle(&mut seqs);
+        seqs.into_iter()
+            .map(|seq| {
+                let mut key = vec![0u8; rng.gen_range(1..=24usize)];
+                rng.fill_bytes(&mut key);
+                let end_of_life = rng.gen_bool(0.2);
+                let mut value =
+                    vec![0u8; if end_of_life { 0 } else { rng.gen_range(0..=150usize) }];
+                rng.fill_bytes(&mut value);
+                let time = if rng.gen_bool(0.5) {
+                    WriteTime::Committed(Timestamp(rng.gen_range(1..=1_000_000u64)))
+                } else {
+                    WriteTime::Pending(TxnId(rng.gen_range(1..=8u64)))
+                };
+                TupleVersion {
+                    rel: RelId(rng.gen_range(1..=4u32)),
+                    key,
+                    time,
+                    seq,
+                    end_of_life,
+                    value,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn element_hash_streams_the_reference_encoding() {
+        for t in golden_tuples() {
+            for resolved in [None, Some(Timestamp(4_242))] {
+                assert_eq!(
+                    hs_element_hash(&t, resolved),
+                    sha256(&reference_element_bytes(&t, resolved)),
+                    "{t:?} resolved {resolved:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn leaf_hs_matches_pinned_digests() {
+        // Pinned from the allocate-per-tuple implementation this replaced.
+        let tuples = golden_tuples();
+        let resolved = leaf_hs(&tuples, |txn| (txn.0 % 2 == 0).then_some(Timestamp(7_000 + txn.0)));
+        assert_eq!(
+            to_hex(&resolved),
+            "168aa319fc0b7c1a56b9bcd7e383c5690d006e352807de733497b0a9fb96d657"
+        );
+        assert_eq!(
+            to_hex(&leaf_hs(&tuples, |_| None)),
+            "2de0bc3e08c909d4999f12085fe7f4e45a21bc5d2b4714e3bc1970d47bd5af3c"
+        );
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! The paper's architecture needs four primitives:
 //!
 //! * a conventional secure one-way hash `h` — [`sha256`], a FIPS 180-4
-//!   SHA-256 implementation validated against the NIST test vectors;
+//!   SHA-256 implementation validated against the NIST test vectors,
+//!   hardware-dispatched via `std::arch` (the x86-64 SHA extensions where
+//!   the CPU has them) with a scalar fallback and identical digests;
 //! * the **ADD-HASH** commutative incremental *set* hash of Bellare and
 //!   Micciancio (`H({a₁..aₙ}) = Σ h'(aᵢ) mod 2⁵¹²`) — [`addhash`] — which the
 //!   auditor uses for the single-pass tuple-completeness check
@@ -15,11 +17,23 @@
 //!   [`lamport`], Lamport one-time signatures over SHA-256 (the paper only
 //!   needs "the auditor's digital signature testifying that the snapshot is
 //!   correct"; an OTS per audit is exactly that).
+//!
+//! Every primitive hashes through the one block-compression entry point
+//! `sha256::compress_blocks`. Its SHA-NI kernel is the only `unsafe` code
+//! in the workspace: it is confined to one private module of [`mod@sha256`]
+//! plus the dispatch call into it, and the rest of this crate is held to
+//! `deny(unsafe_code)`.
+
+#![deny(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod addhash;
 pub mod lamport;
 pub mod seqhash;
 pub mod sha256;
+
+#[cfg(test)]
+mod golden;
 
 pub use addhash::AddHash;
 pub use lamport::{LamportKeyPair, LamportPublicKey, LamportSignature};

@@ -23,10 +23,12 @@
 
 use crate::sha256::{sha256, Digest, Sha256};
 
-/// Domain-separation seed for the empty chain.
-fn seed() -> Digest {
-    sha256(b"ccdb:Hs:v1")
-}
+/// Domain-separation seed for the empty chain: `SHA256("ccdb:Hs:v1")`,
+/// precomputed (a test pins it to the hash).
+const SEED: Digest = [
+    0xe7, 0x72, 0x4a, 0xba, 0xb2, 0x64, 0xf0, 0x6a, 0x08, 0x26, 0xda, 0x12, 0xad, 0x32, 0x13, 0x6d,
+    0xde, 0x1f, 0x83, 0x2a, 0x60, 0x10, 0xde, 0x2f, 0xaf, 0x21, 0x31, 0x72, 0x5f, 0xe8, 0xa3, 0x02,
+];
 
 /// An append-extendable sequential hash chain.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,8 +44,8 @@ impl Default for HsChain {
 
 impl HsChain {
     /// The chain over the empty sequence.
-    pub fn new() -> HsChain {
-        HsChain { state: seed() }
+    pub const fn new() -> HsChain {
+        HsChain { state: SEED }
     }
 
     /// Extends the chain with the *hash* of the next element.
@@ -92,6 +94,12 @@ impl core::fmt::Debug for HsChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn seed_is_the_domain_separated_hash() {
+        assert_eq!(SEED, sha256(b"ccdb:Hs:v1"));
+        assert_eq!(HsChain::new().value(), SEED);
+    }
 
     #[test]
     fn empty_chains_agree() {

@@ -1,11 +1,22 @@
-//! SHA-256 (FIPS 180-4), implemented from scratch.
+//! SHA-256 (FIPS 180-4), implemented from scratch, hardware-dispatched via
+//! `std::arch`, with a scalar fallback and identical digests.
 //!
 //! This is the conventional secure one-way hash `h` used throughout the
 //! compliance architecture: tuple hashes inside ADD-HASH and `Hs`, page-read
 //! hashes, `SHREDDED` content hashes, and the Lamport signature scheme.
-//! The implementation is the textbook 64-round compression function with an
-//! incremental (`update`/`finalize`) interface, checked against the NIST
-//! short-message test vectors in the unit tests.
+//!
+//! Every digest goes through one block-compression entry point,
+//! `compress_blocks`. On x86-64 CPUs with the SHA extensions it runs a
+//! kernel built on the `sha256rnds2`/`sha256msg1`/`sha256msg2` instructions
+//! (selected at run time, per call, through `std`'s cached CPU-feature
+//! detection); everywhere else it runs the textbook 64-round scalar
+//! compression function. Both kernels compute the same FIPS 180-4 function,
+//! so the choice never changes a digest: the unit tests cross-check them
+//! block for block and pin digests computed before the hardware kernel
+//! existed. The incremental (`update`/`finalize`) interface hands the
+//! kernel every whole block of an `update` at once, so a 4 KiB page pays
+//! one dispatch, and `finalize` compresses its one or two padding blocks
+//! directly.
 
 /// A 256-bit digest.
 pub type Digest = [u8; 32];
@@ -52,55 +63,88 @@ impl Sha256 {
     pub fn update(&mut self, mut data: &[u8]) -> &mut Self {
         self.len = self.len.wrapping_add(data.len() as u64);
         if self.buf_len > 0 {
-            let need = 64 - self.buf_len;
-            let take = need.min(data.len());
+            let take = (64 - self.buf_len).min(data.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                compress(&mut self.state, &block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return self;
             }
+            compress_blocks(&mut self.state, core::slice::from_ref(&self.buf));
+            self.buf_len = 0;
         }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            compress(&mut self.state, block.try_into().expect("64-byte split"));
-            data = rest;
+        let (blocks, rest) = data.as_chunks::<64>();
+        if !blocks.is_empty() {
+            compress_blocks(&mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.buf_len = rest.len();
         self
     }
 
     /// Finishes the computation, producing the digest.
     pub fn finalize(mut self) -> Digest {
-        let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        // update() adjusted self.len; the length suffix uses the saved value,
-        // so neutralize further accounting by writing zeros directly.
-        while self.buf_len != 56 {
-            let b = [0u8];
-            // Manual zero-fill without touching `len` semantics: update is
-            // fine because bit_len was captured before padding began.
-            self.update(&b);
-        }
-        let mut tail = [0u8; 8];
-        tail.copy_from_slice(&bit_len.to_be_bytes());
-        self.update(&tail);
-        debug_assert_eq!(self.buf_len, 0);
+        // Padding: 0x80, zeros, 64-bit big-endian bit length — one block if
+        // the partial block leaves room for the 9 bytes, else two.
+        let n = self.buf_len;
+        let mut tail = [[0u8; 64]; 2];
+        tail[0][..n].copy_from_slice(&self.buf[..n]);
+        tail[0][n] = 0x80;
+        let blocks = if n < 56 { 1 } else { 2 };
+        tail[blocks - 1][56..].copy_from_slice(&self.len.wrapping_mul(8).to_be_bytes());
+        compress_blocks(&mut self.state, &tail[..blocks]);
         let mut out = [0u8; 32];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
+        for (o, w) in out.chunks_exact_mut(4).zip(self.state) {
+            o.copy_from_slice(&w.to_be_bytes());
         }
         out
     }
 }
 
-fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+/// Runs the SHA-256 compression function over `blocks` in order, updating
+/// `state` — the one entry point every digest in the crate goes through.
+///
+/// Uses the x86-64 SHA extensions when this CPU has them and the portable
+/// scalar rounds otherwise; both give the same result.
+#[allow(unsafe_code)]
+pub(crate) fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni_selected() {
+        // SAFETY: `sha_ni_selected` returned true only after
+        // `sha_ni::available()` confirmed at run time that this CPU has the
+        // `sha`, `ssse3` and `sse4.1` features `sha_ni::compress` is
+        // compiled for.
+        return unsafe { sha_ni::compress(state, blocks) };
+    }
+    compress_portable(state, blocks);
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test-only: routes this thread's hashing through the portable kernel,
+    /// so the golden tests run on both kernels on SHA-capable hosts.
+    static FORCE_PORTABLE: core::cell::Cell<bool> = const { core::cell::Cell::new(false) };
+}
+
+/// Whether [`compress_blocks`] runs the SHA-NI kernel (on this thread).
+#[cfg(target_arch = "x86_64")]
+fn sha_ni_selected() -> bool {
+    #[cfg(test)]
+    if FORCE_PORTABLE.with(core::cell::Cell::get) {
+        return false;
+    }
+    sha_ni::available()
+}
+
+/// The portable kernel: the textbook 64-round compression, one block at a
+/// time.
+fn compress_portable(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    for block in blocks {
+        compress_block(state, block);
+    }
+}
+
+fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
     for i in 0..16 {
         w[i] = u32::from_be_bytes([
@@ -142,6 +186,101 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     state[7] = state[7].wrapping_add(h);
 }
 
+/// The SHA-NI kernel. The state lives in two registers in the layout
+/// `sha256rnds2` expects — `(a, b, e, f)` and `(c, d, g, h)`, highest lane
+/// first — for all blocks of one call, and is shuffled in and out once.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod sha_ni {
+    use core::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_loadu_si128, _mm_set_epi32,
+        _mm_set_epi64x, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
+        _mm_shuffle_epi32, _mm_shuffle_epi8,
+    };
+
+    use super::K;
+
+    /// Whether this CPU can run [`compress`]; `std` caches the detection.
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse4.1")
+            && is_x86_feature_detected!("ssse3")
+    }
+
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        let [a, b, c, d, e, f, g, h] = state.map(|w| w as i32);
+        let mut abef = _mm_set_epi32(a, b, e, f);
+        let mut cdgh = _mm_set_epi32(c, d, g, h);
+        for block in blocks {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let words: &[[u8; 16]; 4] = block.as_chunks().0.try_into().expect("4 x 16 bytes");
+            let [mut w0, mut w1, mut w2, mut w3] = words.each_ref().map(|w| load_be_words(w));
+            rounds4(&mut abef, &mut cdgh, w0, 0);
+            rounds4(&mut abef, &mut cdgh, w1, 1);
+            rounds4(&mut abef, &mut cdgh, w2, 2);
+            rounds4(&mut abef, &mut cdgh, w3, 3);
+            // Message groups 4..16, each from the four before it; the ring
+            // of four stays in registers.
+            for i in (4..16).step_by(4) {
+                w0 = schedule(w0, w1, w2, w3);
+                rounds4(&mut abef, &mut cdgh, w0, i);
+                w1 = schedule(w1, w2, w3, w0);
+                rounds4(&mut abef, &mut cdgh, w1, i + 1);
+                w2 = schedule(w2, w3, w0, w1);
+                rounds4(&mut abef, &mut cdgh, w2, i + 2);
+                w3 = schedule(w3, w0, w1, w2);
+                rounds4(&mut abef, &mut cdgh, w3, i + 3);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+        *state = [
+            _mm_extract_epi32::<3>(abef),
+            _mm_extract_epi32::<2>(abef),
+            _mm_extract_epi32::<3>(cdgh),
+            _mm_extract_epi32::<2>(cdgh),
+            _mm_extract_epi32::<1>(abef),
+            _mm_extract_epi32::<0>(abef),
+            _mm_extract_epi32::<1>(cdgh),
+            _mm_extract_epi32::<0>(cdgh),
+        ]
+        .map(|w| w as u32);
+    }
+
+    /// Four big-endian message words, lowest word in the lowest lane.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn load_be_words(bytes: &[u8; 16]) -> __m128i {
+        // SAFETY: `bytes` refers to 16 initialized bytes, exactly what the
+        // load reads, and `_mm_loadu_si128` has no alignment requirement.
+        let v = unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) };
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        _mm_shuffle_epi8(v, bswap)
+    }
+
+    /// Rounds `4i .. 4i+4` with message group `w`.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, i: usize) {
+        let k = &K[4 * i..4 * i + 4];
+        let wk =
+            _mm_add_epi32(w, _mm_set_epi32(k[3] as i32, k[2] as i32, k[1] as i32, k[0] as i32));
+        // Two rounds per instruction; after each pair the old (a, b, e, f)
+        // becomes the new (c, d, g, h).
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+    }
+
+    /// The next message group from the previous four, `w0` oldest.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8::<4>(w3, w2));
+        _mm_sha256msg2_epu32(t, w3)
+    }
+}
+
 /// One-shot SHA-256.
 pub fn sha256(data: &[u8]) -> Digest {
     let mut h = Sha256::new();
@@ -158,42 +297,126 @@ pub fn sha256_pair(a: &[u8], b: &[u8]) -> Digest {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use ccdb_common::SplitMix64;
+
     use super::*;
     use crate::to_hex;
 
-    // NIST / well-known vectors.
-    #[test]
-    fn empty_vector() {
-        assert_eq!(
-            to_hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
+    type Kernel = fn(&mut [u32; 8], &[[u8; 64]]);
+
+    /// The SHA-NI kernel, called directly, where this CPU can run it.
+    #[allow(unsafe_code)]
+    pub(crate) fn sha_ni_kernel() -> Option<Kernel> {
+        #[cfg(target_arch = "x86_64")]
+        if sha_ni::available() {
+            return Some(|state, blocks| {
+                // SAFETY: this closure is only handed out after
+                // `sha_ni::available()` confirmed the CPU features
+                // `sha_ni::compress` is compiled for.
+                unsafe { sha_ni::compress(state, blocks) }
+            });
+        }
+        None
+    }
+
+    /// Runs `f` with this thread's hashing on the portable kernel.
+    fn on_portable<R>(f: impl FnOnce() -> R) -> R {
+        FORCE_PORTABLE.with(|c| c.set(true));
+        let r = f();
+        FORCE_PORTABLE.with(|c| c.set(false));
+        r
+    }
+
+    /// Runs `check` once on each kernel this CPU can run, naming the kernel;
+    /// prints a note where the SHA-NI half has to be skipped.
+    pub(crate) fn on_each_kernel(check: impl Fn(&str)) {
+        on_portable(|| check("portable"));
+        if sha_ni_kernel().is_some() {
+            check("sha-ni");
+        } else {
+            println!(
+                "note: this CPU lacks the SHA extensions; only the portable kernel was checked"
+            );
+        }
     }
 
     #[test]
-    fn abc_vector() {
-        assert_eq!(
-            to_hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
+    fn reports_the_selected_kernel() {
+        let kernel = if sha_ni_kernel().is_some() {
+            "sha-ni (x86-64 SHA extensions)"
+        } else {
+            "portable (scalar rounds)"
+        };
+        println!("sha256 kernel selected on this CPU: {kernel}");
     }
 
     #[test]
-    fn two_block_vector() {
-        assert_eq!(
-            to_hex(&sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+    fn kernels_agree_on_random_state_block_pairs() {
+        let Some(sha_ni) = sha_ni_kernel() else {
+            println!("note: this CPU lacks the SHA extensions; differential check skipped");
+            return;
+        };
+        let mut rng = SplitMix64::seed_from_u64(0x5AA_D1FF);
+        let mut blocks = [[0u8; 64]; 8];
+        for case in 0..100_000u32 {
+            let state: [u32; 8] = core::array::from_fn(|_| rng.next_u64() as u32);
+            // Mostly single blocks; every 16th case a run of up to eight, so
+            // the state also carries across blocks inside one call.
+            let n = if case % 16 == 0 { rng.gen_range(2..=8usize) } else { 1 };
+            for b in &mut blocks[..n] {
+                rng.fill_bytes(b);
+            }
+            let (mut portable, mut hw) = (state, state);
+            compress_portable(&mut portable, &blocks[..n]);
+            sha_ni(&mut hw, &blocks[..n]);
+            assert_eq!(portable, hw, "case {case}: state {state:08x?}, {n} block(s)");
+        }
     }
 
     #[test]
-    fn million_a_vector() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            to_hex(&sha256(&data)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+    fn every_length_and_chunking_agrees_on_each_kernel() {
+        let mut data = vec![0u8; 1100];
+        SplitMix64::seed_from_u64(0x1100).fill_bytes(&mut data);
+        let reference: Vec<Digest> =
+            on_portable(|| (0..=data.len()).map(|n| sha256(&data[..n])).collect());
+        on_each_kernel(|kernel| {
+            for (n, want) in reference.iter().enumerate() {
+                let msg = &data[..n];
+                assert_eq!(&sha256(msg), want, "{kernel}: one-shot, length {n}");
+                for chunk in [1usize, 3, 55, 56, 63, 64, 65] {
+                    let mut h = Sha256::new();
+                    for c in msg.chunks(chunk) {
+                        h.update(c);
+                    }
+                    assert_eq!(&h.finalize(), want, "{kernel}: chunks of {chunk}, length {n}");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn nist_vectors_on_each_kernel() {
+        let million_a = vec![b'a'; 1_000_000];
+        let vectors: [(&[u8], &str); 5] = [
+            (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
+                  ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+            ),
+            (&million_a, "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"),
+        ];
+        on_each_kernel(|kernel| {
+            for (msg, want) in vectors {
+                assert_eq!(to_hex(&sha256(msg)), want, "{kernel}: {}-byte vector", msg.len());
+            }
+        });
     }
 
     #[test]

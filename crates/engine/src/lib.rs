@@ -33,6 +33,8 @@
 //! should be externally coordinated; isolation anomalies are not part of
 //! the threat model or the evaluation.
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub(crate) mod commit;
 pub mod engine;

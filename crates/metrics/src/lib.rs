@@ -16,6 +16,8 @@
 //!   for counters that already exist elsewhere (`EngineStats`,
 //!   `AuditStats`) and should not be double-maintained.
 
+#![forbid(unsafe_code)]
+
 pub mod http;
 pub mod registry;
 

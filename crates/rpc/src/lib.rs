@@ -6,6 +6,8 @@
 //! server side, and a fixed-capacity connection pool on the client side.
 //! See DESIGN.md §11 for the protocol and session model.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod proto;
 

@@ -16,6 +16,8 @@
 //! connection (sessions are long-lived and the engine's own locking is the
 //! concurrency story), one reaper thread, one metrics thread.
 
+#![forbid(unsafe_code)]
+
 pub mod session;
 
 use std::collections::HashMap;

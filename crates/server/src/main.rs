@@ -5,6 +5,8 @@
 //!             --metrics-addr 127.0.0.1:9187
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use ccdb_common::time::SystemClock;

@@ -21,6 +21,8 @@
 //!   increasing per-page sequence numbers; the sequential read hash `Hs`
 //!   hashes tuples in this order.
 
+#![forbid(unsafe_code)]
+
 pub mod buffer;
 pub mod disk;
 pub mod fault;

@@ -18,6 +18,8 @@
 //! ccdb that attribute lives in the page format itself, so every relation
 //! has it automatically.
 
+#![forbid(unsafe_code)]
+
 pub mod driver;
 pub mod gen;
 pub mod loader;

@@ -36,6 +36,8 @@
 //! * Leaf and interior Merkle hashes use distinct domain prefixes, so an
 //!   interior node can never be replayed as a leaf or vice versa.
 
+#![forbid(unsafe_code)]
+
 use ccdb_crypto::{sha256, Digest, LamportPublicKey, LamportSignature, Sha256};
 
 /// Decode / verification failure. One variant per trust-chain link so test

@@ -19,6 +19,8 @@
 //! cause L to contain duplicate NEW_TUPLE records; the auditor uses a
 //! temporary hash table to identify duplicates" (Section IV-B).
 
+#![forbid(unsafe_code)]
+
 pub mod log;
 pub mod record;
 

@@ -25,6 +25,8 @@
 //! verified on read as a development aid (a real filer's firmware integrity),
 //! not as a cryptographic defense.
 
+#![forbid(unsafe_code)]
+
 mod meta;
 mod server;
 

@@ -46,6 +46,8 @@
 //! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use ccdb_adversary as adversary;
 pub use ccdb_btree as btree;
 pub use ccdb_common as common;
