@@ -46,6 +46,7 @@ use std::sync::Arc;
 
 use ccdb_adversary::{Mala, MalaTarget, TamperAction};
 use ccdb_btree::SplitPolicy;
+use ccdb_common::sync::parallel_map;
 use ccdb_common::{Clock, Duration, RelId, SplitMix64, Timestamp, VirtualClock};
 use ccdb_core::{
     AuditConfig, ComplianceConfig, CompliantDb, Hold, Mode, ShardedDb, TenantRegistry,
@@ -1206,16 +1207,15 @@ pub fn run_campaign_schedule(seed: u64) -> Result<CampaignOutcome, CampaignFailu
     }
 }
 
-/// Runs campaigns for `seeds`, failing fast with the first violated seed.
-/// The outcome aggregate lets callers assert the campaign exercised real
-/// tampering, shredding, holds, and years of virtual time rather than
-/// vacuously passing.
+/// Runs campaigns for `seeds` on the machine's available parallelism. Each
+/// campaign is a pure function of its seed, so the outcomes come back in
+/// seed order whatever worker ran them, and a failure reports the first
+/// violated seed in that order. The outcome aggregate lets callers assert
+/// the campaign exercised real tampering, shredding, holds, and years of
+/// virtual time rather than vacuously passing.
 pub fn run_campaign(
     seeds: impl IntoIterator<Item = u64>,
 ) -> Result<Vec<CampaignOutcome>, CampaignFailure> {
-    let mut out = Vec::new();
-    for seed in seeds {
-        out.push(run_campaign_schedule(seed)?);
-    }
-    Ok(out)
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    parallel_map(threads, seeds.into_iter().collect(), run_campaign_schedule).into_iter().collect()
 }

@@ -100,7 +100,8 @@ impl<T: ?Sized> Mutex<T> {
 
 /// A condition variable paired with [`Mutex`], ignoring poisoning like the
 /// rest of this module. Used by the engine's group-commit pipeline to park
-/// follower committers while a leader flushes the WAL batch.
+/// follower committers while a leader flushes the WAL batch, and by the RPC
+/// client pool to park callers until a connection is free.
 #[derive(Debug, Default)]
 pub struct Condvar(sync::Condvar);
 
@@ -113,22 +114,6 @@ impl Condvar {
     /// Blocks until notified, releasing the guard while parked.
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         self.0.wait(guard).unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Blocks until notified or `dur` elapses. Returns the re-acquired guard
-    /// and whether the wait timed out.
-    pub fn wait_timeout<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        dur: std::time::Duration,
-    ) -> (MutexGuard<'a, T>, bool) {
-        match self.0.wait_timeout(guard, dur) {
-            Ok((g, t)) => (g, t.timed_out()),
-            Err(e) => {
-                let (g, t) = e.into_inner();
-                (g, t.timed_out())
-            }
-        }
     }
 
     /// Wakes one parked waiter.
@@ -231,15 +216,6 @@ mod tests {
             cv.notify_all();
         }
         h.join().unwrap();
-    }
-
-    #[test]
-    fn condvar_wait_timeout_expires() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let g = m.lock();
-        let (_g, timed_out) = cv.wait_timeout(g, std::time::Duration::from_millis(5));
-        assert!(timed_out);
     }
 
     #[test]

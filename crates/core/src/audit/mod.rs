@@ -66,6 +66,7 @@ use ccdb_engine::Engine;
 use ccdb_storage::{BufferPool, DiskManager, Page, PageType, TupleVersion, WriteTime};
 use ccdb_worm::WormServer;
 
+use crate::db::{ComplianceConfig, Mode};
 use crate::migrate::MigratedPage;
 use crate::records::LogRecord;
 use crate::shred::{Hold, HOLDS_RELATION};
@@ -379,20 +380,16 @@ impl AuditReport {
     }
 }
 
-/// Auditor configuration.
+/// How an audit runs. What it checks — the regret interval, and whether
+/// `READ` hashes are verified — belongs to the deployment and comes from its
+/// [`ComplianceConfig`] when the [`Auditor`] is built.
 #[derive(Clone, Copy, Debug)]
 pub struct AuditConfig {
-    /// The regret interval the deployment promises.
-    pub regret_interval: Duration,
-    /// Verify logged `READ` hashes (hash-page-on-read refinement).
-    pub verify_reads: bool,
-    /// Enforce witness-file continuity.
-    pub check_witnesses: bool,
     /// Worker threads for every fan-out of the audit. `0` = auto (the
     /// machine's available parallelism); `1` runs each stage inline. Values
     /// above the core count still help when the database lives on
-    /// high-latency (emulated-remote) storage: the final-state scan is
-    /// I/O-bound and blocked readers overlap.
+    /// high-latency remote storage: the final-state scan is I/O-bound and
+    /// blocked readers overlap.
     pub audit_threads: usize,
     /// Records per decode chunk of the `L` scan. Small values stress chunk
     /// boundaries; the default amortizes dispatch overhead.
@@ -409,9 +406,6 @@ pub const DEFAULT_L_CHUNK_RECORDS: usize = 4096;
 impl Default for AuditConfig {
     fn default() -> Self {
         AuditConfig {
-            regret_interval: Duration::from_mins(5),
-            verify_reads: true,
-            check_witnesses: true,
             audit_threads: 0,
             l_chunk_records: DEFAULT_L_CHUNK_RECORDS,
             use_checkpoints: true,
@@ -460,6 +454,10 @@ pub struct Auditor {
     worm: Arc<WormServer>,
     snapshots: SnapshotManager,
     config: AuditConfig,
+    /// The regret interval the deployment promises.
+    regret_interval: Duration,
+    /// Verify logged `READ` hashes (the hash-page-on-read refinement).
+    verify_reads: bool,
 }
 
 /// Result of an audit, including the material to write the next snapshot.
@@ -924,10 +922,21 @@ fn shred_legality(engine: &Engine, shreds: &ShredMap, v: &mut Vec<Violation>) {
 }
 
 impl Auditor {
-    /// Creates an auditor over a WORM server with the given master seed
-    /// (snapshot signing lineage).
-    pub fn new(worm: Arc<WormServer>, master_seed: [u8; 32], config: AuditConfig) -> Auditor {
-        Auditor { worm: worm.clone(), snapshots: SnapshotManager::new(worm, master_seed), config }
+    /// Creates an auditor of the deployment `compliance` describes: its
+    /// master seed (snapshot signing lineage), regret interval and mode
+    /// (`READ` hashes are verified under hash-page-on-read).
+    pub fn new(
+        worm: Arc<WormServer>,
+        compliance: &ComplianceConfig,
+        config: AuditConfig,
+    ) -> Auditor {
+        Auditor {
+            worm: worm.clone(),
+            snapshots: SnapshotManager::new(worm, compliance.auditor_seed),
+            config,
+            regret_interval: compliance.regret_interval,
+            verify_reads: compliance.mode == Mode::HashOnRead,
+        }
     }
 
     /// The snapshot manager (exposed so the facade can write the post-audit

@@ -58,7 +58,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ccdb_common::sync::parallel_map;
-use ccdb_common::{Error, PageNo, RelId, Result, Timestamp, TxnId};
+use ccdb_common::{Duration, Error, PageNo, RelId, Result, Timestamp, TxnId};
 use ccdb_crypto::AddHash;
 use ccdb_engine::Engine;
 use ccdb_storage::{BufferPool, PageStore, PageType, TupleVersion, WriteTime};
@@ -546,6 +546,8 @@ fn us_since(t: Instant) -> u64 {
 pub(super) struct AuditState {
     worm: Arc<WormServer>,
     config: AuditConfig,
+    regret_interval: Duration,
+    verify_reads: bool,
     threads: usize,
     epoch: u64,
 
@@ -592,6 +594,8 @@ impl AuditState {
         let mut st = AuditState {
             worm: auditor.worm.clone(),
             config: auditor.config,
+            regret_interval: auditor.regret_interval,
+            verify_reads: auditor.verify_reads,
             threads,
             epoch,
             states: HashMap::new(),
@@ -837,7 +841,7 @@ impl AuditState {
         let tp = Instant::now();
         let (worm, stamps, aborts) = (&*self.worm, &self.stamps, &self.aborts);
         let (migrated_before, shred_first) = (&self.migrated, &shred_first);
-        let verify_reads = self.config.verify_reads;
+        let verify_reads = self.verify_reads;
         let outs: Vec<ShardOut> = parallel_map(self.threads, shards, |(states, recs)| {
             let mut rp = Replayer {
                 worm,
@@ -1026,8 +1030,8 @@ impl AuditState {
                 v.push(Violation::CommitTimesNotMonotonic { offset: pair[1].1 });
             }
         }
-        let r = self.config.regret_interval.0;
-        if !self.config.check_witnesses || r == 0 {
+        let r = self.regret_interval.0;
+        if r == 0 {
             return;
         }
         let valid_witness = |interval: u64| -> bool {

@@ -525,24 +525,19 @@ impl CompliantDb {
         migrate::migrate_relation(&self.engine, plugin, &self.worm, rel)
     }
 
-    /// The audit configuration this database runs with: regret interval and
-    /// read-verification follow the compliance mode, the rest is
-    /// [`AuditConfig::default`].
+    /// The audit configuration this database runs with,
+    /// [`AuditConfig::default`]. What an audit checks comes from the
+    /// [`ComplianceConfig`], whatever the audit configuration.
     pub fn audit_config(&self) -> AuditConfig {
-        AuditConfig {
-            regret_interval: self.config.regret_interval,
-            verify_reads: self.config.mode == Mode::HashOnRead,
-            ..AuditConfig::default()
-        }
+        AuditConfig::default()
     }
 
     /// Runs an audit **dry run** under an explicit [`AuditConfig`] without
     /// advancing the epoch or writing a snapshot: the differential suites
     /// and the benchmark use this to audit the *same* quiesced state at
-    /// several thread counts and chunk sizes and compare outcomes. The
-    /// deployment's regret interval and read-verification mode always
-    /// override the caller's (they are properties of the database, not of
-    /// how the audit is run).
+    /// several thread counts and chunk sizes and compare outcomes. What is
+    /// checked (regret interval, read verification) is the deployment's;
+    /// `config` only says how the audit runs.
     pub fn audit_outcome_with(&self, config: AuditConfig) -> Result<crate::audit::AuditOutcome> {
         let plugin = self
             .plugin
@@ -552,15 +547,7 @@ impl CompliantDb {
         plugin.logger().flush()?;
         plugin.tick()?;
         let epoch = *self.epoch.lock();
-        let auditor = Auditor::new(
-            self.worm.clone(),
-            self.config.auditor_seed,
-            AuditConfig {
-                regret_interval: self.config.regret_interval,
-                verify_reads: self.config.mode == Mode::HashOnRead,
-                ..config
-            },
-        );
+        let auditor = Auditor::new(self.worm.clone(), &self.config, config);
         // The auditor's own relation reads (holds, retention) are trusted
         // self-reads: suppress READ-record emission so the dry-run leaves
         // `L` exactly as it found it.
@@ -582,8 +569,7 @@ impl CompliantDb {
         plugin.logger().flush()?;
         plugin.tick()?;
         let epoch = *self.epoch.lock();
-        let auditor =
-            Auditor::new(self.worm.clone(), self.config.auditor_seed, self.audit_config());
+        let auditor = Auditor::new(self.worm.clone(), &self.config, self.audit_config());
         plugin.begin_trusted_reads();
         let outcome = auditor.audit(&self.engine, epoch);
         plugin.end_trusted_reads();
@@ -658,21 +644,13 @@ impl CompliantDb {
     /// Like [`CompliantDb::stream_auditor`] with an explicit
     /// [`AuditConfig`] (the differential and checkpoint-accounting suites
     /// toggle [`AuditConfig::with_checkpoints`]). As in
-    /// [`CompliantDb::audit_outcome_with`], the deployment's regret
-    /// interval and read-verification mode override the caller's.
+    /// [`CompliantDb::audit_outcome_with`], what is checked is the
+    /// deployment's.
     pub fn stream_auditor_with(&self, config: AuditConfig) -> Result<StreamAuditor> {
         if self.plugin.is_none() {
             return Err(Error::Invalid("streaming audit requires a compliance mode".into()));
         }
-        let auditor = Auditor::new(
-            self.worm.clone(),
-            self.config.auditor_seed,
-            AuditConfig {
-                regret_interval: self.config.regret_interval,
-                verify_reads: self.config.mode == Mode::HashOnRead,
-                ..config
-            },
-        );
+        let auditor = Auditor::new(self.worm.clone(), &self.config, config);
         Ok(StreamAuditor::attach(auditor, *self.epoch.lock()))
     }
 
@@ -781,15 +759,6 @@ impl CompliantDb {
     /// knob emulating the paper's NFS-mounted storage server).
     pub fn set_io_latency_us(&self, us: u64) {
         self.engine.disk().set_io_latency_us(us);
-    }
-
-    /// Selects how the emulated I/O latency is served: `true` parks the
-    /// thread (latency *overlaps* across concurrent readers, like a real
-    /// remote volume — what the parallel audit exploits), `false` spins
-    /// (burns the core; the conservative default for single-threaded
-    /// benches).
-    pub fn set_io_latency_sleep(&self, sleep: bool) {
-        self.engine.disk().set_io_latency_sleep(sleep);
     }
 
     /// Arms (or clears) a deterministic fault injector across every I/O

@@ -12,12 +12,13 @@
 //!    order identical.
 //! 2. **Group durability** ([`CommitPipeline::wait_durable`]): the committer
 //!    checks whether its record is already durable (a previous batch carried
-//!    it). If not, it either becomes the **leader** — optionally stalling up
-//!    to `flush_interval_us` for the batch to reach `group_size` — and
-//!    flushes the WAL once (one fsync, one WORM tail-mirror append for the
+//!    it). If not, it either becomes the **leader** and flushes everything
+//!    appended so far at once (one fsync, one WORM tail-mirror append for the
 //!    whole batch), or **parks** on the flush condvar until the active
-//!    leader finishes. A failed flush bumps an error epoch so every batch
-//!    member observes the failure; the leader returns the *original* error
+//!    leader finishes. Batches form on their own: committers that sequence
+//!    while a leader's fsync is in flight park, and the next leader carries
+//!    them all. A failed flush bumps an error epoch so every batch member
+//!    observes the failure; the leader returns the *original* error
 //!    (fault-injection markers intact), followers a generic one.
 //! 3. **Finalize** ([`CommitPipeline::await_turn`]): committers drain in
 //!    strict ticket order. Under its turn a committer publishes the commit
@@ -33,7 +34,6 @@
 //! DESIGN.md §9 for the system-wide hierarchy.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration as StdDuration, Instant};
 
 use ccdb_common::sync::{Condvar, Mutex, MutexGuard};
 use ccdb_common::{Error, Lsn, Result};
@@ -45,8 +45,6 @@ struct PipeState {
     next_ticket: u64,
     /// A leader is currently flushing (followers park instead of flushing).
     leader_active: bool,
-    /// Committers currently inside [`CommitPipeline::wait_durable`].
-    waiters: usize,
     /// Bumped on every failed group flush; batch members that observed the
     /// old epoch and are still not durable know their flush failed.
     error_epoch: u64,
@@ -59,11 +57,6 @@ pub(crate) struct CommitPipeline {
     /// The ticket currently allowed to finalize.
     turn: Mutex<u64>,
     turn_cv: Condvar,
-    /// Lock-free mirror of `turn`: tickets finalized so far. A flush leader
-    /// compares it against `next_ticket` to tell a genuinely uncontended
-    /// commit (nothing else sequenced and unfinalized) from a momentary gap
-    /// between concurrent committers.
-    finalized: AtomicU64,
     /// Successful group flushes (each one fsync + one tail-mirror append).
     pub(crate) batches: AtomicU64,
     /// Transactions made durable through the pipeline.
@@ -73,16 +66,10 @@ pub(crate) struct CommitPipeline {
 impl CommitPipeline {
     pub(crate) fn new() -> CommitPipeline {
         CommitPipeline {
-            state: Mutex::new(PipeState {
-                next_ticket: 0,
-                leader_active: false,
-                waiters: 0,
-                error_epoch: 0,
-            }),
+            state: Mutex::new(PipeState { next_ticket: 0, leader_active: false, error_epoch: 0 }),
             flush_cv: Condvar::new(),
             turn: Mutex::new(0),
             turn_cv: Condvar::new(),
-            finalized: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             batched_txns: AtomicU64::new(0),
         }
@@ -102,31 +89,16 @@ impl CommitPipeline {
 
     /// Phase 2: blocks until the record at `lsn` is durable (or the flush
     /// covering it failed). See the module docs for the leader/follower
-    /// protocol. `flush_interval_us`/`group_size` control the leader's
-    /// batch-formation stall; an interval of 0 flushes immediately and still
-    /// batches naturally (followers accumulate while the leader fsyncs).
-    /// `others_active` is the caller's hint that commit traffic besides this
-    /// one exists (the engine passes "any other transaction currently
-    /// begun"); it gates the leader's batch-formation stall.
-    pub(crate) fn wait_durable(
-        &self,
-        wal: &WalWriter,
-        lsn: Lsn,
-        flush_interval_us: u64,
-        group_size: usize,
-        others_active: bool,
-    ) -> Result<()> {
+    /// protocol.
+    pub(crate) fn wait_durable(&self, wal: &WalWriter, lsn: Lsn) -> Result<()> {
         let mut st = self.state.lock();
-        st.waiters += 1;
         let entry_epoch = st.error_epoch;
         loop {
             if wal.flushed_lsn() > lsn {
-                st.waiters -= 1;
                 self.batched_txns.fetch_add(1, Ordering::Relaxed);
                 return Ok(());
             }
             if st.error_epoch != entry_epoch {
-                st.waiters -= 1;
                 return Err(Error::Invalid(
                     "group commit: batch flush failed; commit outcome unknown".into(),
                 ));
@@ -135,49 +107,25 @@ impl CommitPipeline {
                 st = self.flush_cv.wait(st);
                 continue;
             }
-            // Become the leader. The batch-formation stall runs only when
-            // there is evidence of concurrent commit traffic: another
-            // sequenced-but-unfinalized commit in the pipeline, or (the
-            // caller's hint) another transaction open in the engine — under
-            // multi-client load the stall is what *forms* batches, since
-            // committers spend most of their cycle outside `wait_durable`.
-            // A genuinely uncontended leader flushes immediately: stalling
-            // for a batch that cannot form is the BENCH_PR4 single-thread
-            // regression.
+            // Become the leader: one flush carries every record appended so
+            // far, this one and those of the committers parked behind it.
             st.leader_active = true;
-            let in_flight = st.next_ticket - self.finalized.load(Ordering::Relaxed);
-            if flush_interval_us > 0 && group_size > 1 && (others_active || in_flight > 1) {
-                let deadline = Instant::now() + StdDuration::from_micros(flush_interval_us);
-                while st.waiters < group_size {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (g, timed_out) = self.flush_cv.wait_timeout(st, deadline - now);
-                    st = g;
-                    if timed_out {
-                        break;
-                    }
-                }
-            }
             drop(st);
             let res = wal.flush();
             st = self.state.lock();
             st.leader_active = false;
+            self.flush_cv.notify_all();
             match res {
+                // Loop: the durable check at the top observes our own flush
+                // (it always covers our record — the append happened before
+                // we entered this function).
                 Ok(()) => {
                     self.batches.fetch_add(1, Ordering::Relaxed);
-                    self.flush_cv.notify_all();
-                    // Loop: the durable check at the top observes our own
-                    // flush (it always covers our record — the append
-                    // happened before we entered this function).
                 }
                 Err(e) => {
                     // Broadcast failure to the batch; the leader propagates
                     // the original error so fault-injection markers survive.
                     st.error_epoch = st.error_epoch.wrapping_add(1);
-                    st.waiters -= 1;
-                    self.flush_cv.notify_all();
                     return Err(e);
                 }
             }
@@ -198,7 +146,6 @@ impl CommitPipeline {
     /// Phase 3 exit: advances the finalize turn and wakes waiting tickets.
     pub(crate) fn finish_turn(&self, mut turn: MutexGuard<'_, u64>) {
         *turn += 1;
-        self.finalized.fetch_add(1, Ordering::Relaxed);
         drop(turn);
         self.turn_cv.notify_all();
     }
@@ -242,7 +189,7 @@ mod tests {
             o2.lock().push(1);
             p2.finish_turn(g);
         });
-        std::thread::sleep(StdDuration::from_millis(10));
+        std::thread::sleep(std::time::Duration::from_millis(10));
         {
             let g = pipe.await_turn(0);
             order.lock().push(0);
@@ -261,25 +208,28 @@ mod tests {
         assert_eq!(t, 0, "failed sequence must not burn a ticket");
     }
 
+    /// One leader flush carries every record sequenced before it, whatever
+    /// order the committers reach `wait_durable` in: the second committer
+    /// finds its record durable and never flushes.
     #[test]
-    fn uncontended_leader_skips_the_batch_stall() {
+    fn one_flush_carries_every_sequenced_record() {
         use ccdb_common::TxnId;
         use ccdb_wal::WalRecord;
-        let (w, p) = wal("solo");
-        let pipe = CommitPipeline::new();
-        // A 200ms window with a lone committer: the fast path must flush
-        // immediately instead of parking for the full interval.
-        let (lsn, _ticket) =
-            pipe.sequence(|| w.append(&WalRecord::Begin { txn: TxnId(1) })).unwrap();
-        let start = Instant::now();
-        pipe.wait_durable(&w, lsn, 200_000, 64, false).unwrap();
-        assert!(
-            start.elapsed() < StdDuration::from_millis(100),
-            "uncontended commit stalled {:?} waiting for a batch that cannot form",
-            start.elapsed()
-        );
-        assert!(w.flushed_lsn() > lsn);
-        let _ = std::fs::remove_file(&p);
+        for later_first in [true, false] {
+            let (w, p) = wal(if later_first { "later-first" } else { "earlier-first" });
+            let pipe = CommitPipeline::new();
+            let (earlier, _) =
+                pipe.sequence(|| w.append(&WalRecord::Begin { txn: TxnId(1) })).unwrap();
+            let (later, _) =
+                pipe.sequence(|| w.append(&WalRecord::Begin { txn: TxnId(2) })).unwrap();
+            let order = if later_first { [later, earlier] } else { [earlier, later] };
+            for lsn in order {
+                pipe.wait_durable(&w, lsn).unwrap();
+                assert!(w.flushed_lsn() > lsn);
+            }
+            assert_eq!(pipe.counters(), (1, 2), "later_first = {later_first}");
+            let _ = std::fs::remove_file(&p);
+        }
     }
 
     #[test]
@@ -295,7 +245,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let (lsn, _ticket) =
                     pipe.sequence(|| w.append(&WalRecord::Begin { txn: TxnId(i + 1) })).unwrap();
-                pipe.wait_durable(&w, lsn, 1000, 8, true).unwrap();
+                pipe.wait_durable(&w, lsn).unwrap();
                 assert!(w.flushed_lsn() > lsn);
             }));
         }

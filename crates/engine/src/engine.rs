@@ -32,31 +32,18 @@ pub struct EngineConfig {
     /// Whether WAL flushes fsync (benchmarks disable; the workspace crash
     /// model is process-level).
     pub fsync: bool,
-    /// Group commit: committers enqueue their WAL record and a leader
-    /// flushes the whole batch with one fsync + one WORM tail-mirror
-    /// append. Disabling reverts to one flush per commit (the baseline).
-    pub group_commit: bool,
-    /// How long a flush leader stalls waiting for the batch to fill (µs).
-    /// 0 flushes immediately — batching still happens naturally because
-    /// followers accumulate while the leader's fsync is in flight.
-    pub flush_interval_us: u64,
-    /// Target batch size that ends the leader's stall early.
-    pub group_size: usize,
     /// Lazy-timestamping queue bound: beyond this, committers drain the
     /// queue incrementally instead of waiting for the next checkpoint.
     pub stamp_queue_limit: usize,
 }
 
 impl EngineConfig {
-    /// Convenience constructor (fsync on, group commit on).
+    /// Convenience constructor (fsync on).
     pub fn new(dir: impl Into<PathBuf>, cache_pages: usize) -> EngineConfig {
         EngineConfig {
             dir: dir.into(),
             cache_pages,
             fsync: true,
-            group_commit: true,
-            flush_interval_us: 0,
-            group_size: 8,
             stamp_queue_limit: DEFAULT_STAMP_QUEUE_LIMIT,
         }
     }
@@ -64,23 +51,6 @@ impl EngineConfig {
     /// Disables fsync (benchmark configurations).
     pub fn no_fsync(mut self) -> EngineConfig {
         self.fsync = false;
-        self
-    }
-
-    /// Disables group commit (per-commit flush — the pre-pipeline baseline).
-    pub fn no_group_commit(mut self) -> EngineConfig {
-        self.group_commit = false;
-        self
-    }
-
-    /// Sets the leader's batch-formation stall and target batch size.
-    pub fn group_commit_window(
-        mut self,
-        flush_interval_us: u64,
-        group_size: usize,
-    ) -> EngineConfig {
-        self.flush_interval_us = flush_interval_us;
-        self.group_size = group_size;
         self
     }
 }
@@ -196,13 +166,6 @@ impl TxnTable {
 
     fn len(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
-    }
-
-    /// Lock-free: whether any transaction is tracked, per the mirror count.
-    /// Used on the commit hot path as the group-commit contention hint;
-    /// [`TxnTable::is_empty`] is the shard-locked exact check.
-    fn any_active(&self) -> bool {
-        self.count.load(Ordering::Relaxed) != 0
     }
 
     fn is_empty(&self) -> bool {
@@ -596,21 +559,8 @@ impl Engine {
             Ok((t, lsn))
         })?;
 
-        // Phase 2: group durability (or the per-commit-flush baseline).
-        // "Other transactions are open" is the contention hint that lets an
-        // uncontended leader skip the batch-formation stall (our own txn was
-        // already removed from the table above, so the count is only peers).
-        let durable = if self.cfg.group_commit {
-            self.pipeline.wait_durable(
-                &self.wal,
-                lsn,
-                self.cfg.flush_interval_us,
-                self.cfg.group_size,
-                self.txns.any_active(),
-            )
-        } else {
-            self.wal.flush()
-        };
+        // Phase 2: group durability.
+        let durable = self.pipeline.wait_durable(&self.wal, lsn);
 
         // Phase 3: finalize in ticket order. The turn advances even on
         // failure, otherwise later committers would wait forever.
@@ -907,11 +857,7 @@ impl Engine {
                 }
                 seen.push((*rel, key.as_slice()));
                 let tree = self.tree(*rel)?;
-                let n = tree.stamp(key, txn, t)?;
-                if n == 0 && std::env::var("CCDB_STAMP_DEBUG").is_ok() {
-                    eprintln!("STAMP MISS {txn:?} rel={rel:?} key={key:02x?} t={t:?}");
-                }
-                stamped += n;
+                stamped += tree.stamp(key, txn, t)?;
             }
             self.commit_times.write().remove(&txn);
         }

@@ -31,6 +31,7 @@ use ccdb_btree::SplitPolicy;
 use ccdb_common::sync::Mutex;
 use ccdb_common::{ClockRef, Duration, Error, Result, TxnId};
 use ccdb_core::audit::stream::{StreamAuditor, StreamStats};
+use ccdb_core::audit::AuditConfig;
 use ccdb_core::db::{ComplianceConfig, CompliantDb};
 use ccdb_core::shard::{DistTxn, ShardedDb};
 use ccdb_core::tenant::TenantRegistry;
@@ -927,7 +928,7 @@ fn dispatch(
                 if serial {
                     // Dry-run on one thread: verdict only, no epoch advance
                     // (differential checks against the real audit below).
-                    match db.audit_outcome_with(db.audit_config().with_threads(1)) {
+                    match db.audit_outcome_with(AuditConfig::serial()) {
                         Ok(out) => Response::AuditDone {
                             clean: out.report.is_clean(),
                             violations: out.report.violations.len() as u32,
@@ -950,7 +951,7 @@ fn dispatch(
             }
             SessionDb::Sharded { db, .. } => {
                 if serial {
-                    match db.audit_dry(db.shards()[0].audit_config().with_threads(1)) {
+                    match db.audit_dry(AuditConfig::serial()) {
                         Ok((outcomes, cross)) => Response::AuditDone {
                             clean: cross.is_empty() && outcomes.iter().all(|o| o.report.is_clean()),
                             violations: (outcomes
@@ -996,29 +997,16 @@ fn dispatch(
                 }
             }
         },
-        Request::Migrate { rel } => match &s.db {
-            SessionDb::Plain(db) => match db.migrate_to_worm(rel) {
+        Request::Migrate { rel } => {
+            let report = match &s.db {
+                SessionDb::Plain(db) => db.migrate_to_worm(rel),
+                SessionDb::Sharded { db, .. } => db.migrate_to_worm(rel),
+            };
+            match report {
                 Ok(report) => Response::Migrated { tuples: report.tuples_migrated as u64 },
                 Err(e) => err_of(e),
-            },
-            SessionDb::Sharded { db, .. } => {
-                let mut tuples = 0u64;
-                let mut failed = None;
-                for shard in db.shards() {
-                    match shard.migrate_to_worm(rel) {
-                        Ok(report) => tuples += report.tuples_migrated as u64,
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
-                }
-                match failed {
-                    None => Response::Migrated { tuples },
-                    Some(e) => err_of(e),
-                }
             }
-        },
+        }
         Request::ReadVerified { rel, key } => match &s.db {
             SessionDb::Plain(db) => proof_resp(db.read_proof(rel, &key)),
             // Proof-carrying reads route to the shard owning the key; the

@@ -11,6 +11,7 @@ use ccdb_common::{ClockRef, Duration, VirtualClock};
 use ccdb_core::db::{ComplianceConfig, Mode};
 use ccdb_metrics::http_get;
 use ccdb_rpc::client::Client;
+use ccdb_rpc::proto::{Request, Response};
 use ccdb_server::{Server, ServerConfig};
 
 fn tmp(tag: &str) -> PathBuf {
@@ -230,4 +231,38 @@ fn auto_seal_lag_bound_seals_and_stays_clean() {
     let t = c.begin().unwrap();
     assert_eq!(c.read(t, rel, b"i09-k3").unwrap().as_deref(), Some(&9u32.to_le_bytes()[..]));
     c.abort(t).unwrap();
+}
+
+/// `Migrate` on a sharded deployment moves every shard's historical pages
+/// to WORM: overwrite rounds on a time-split relation, each sealed by an
+/// audit, leave historical pages behind; the RPC migrates them and the
+/// deployment still audits clean.
+#[test]
+fn sharded_migrate_over_rpc_moves_historical_pages() {
+    let server = start("migrate", |cfg| cfg.shards = 2);
+    let mut c = Client::connect(server.addr().to_string(), "ops").unwrap();
+    let rel = match c
+        .call(Request::CreateRelation { name: "hot".into(), time_split_threshold: 0.7 })
+        .unwrap()
+    {
+        Response::Rel { rel } => rel,
+        other => panic!("create_relation: {other:?}"),
+    };
+    let value = [0x5A; 96];
+    for round in 0..4u32 {
+        for i in 0..60u32 {
+            let t = c.begin().unwrap();
+            c.write(t, rel, format!("k{:02}", i % 24).as_bytes(), &value).unwrap();
+            c.write(t, rel, b"round", &round.to_le_bytes()).unwrap();
+            c.commit(t).unwrap();
+        }
+        let (clean, violations) = c.audit(false).unwrap();
+        assert!(clean, "round {round}: sealing audit reported {violations} violations");
+    }
+
+    let tuples = c.migrate(rel).unwrap();
+    assert!(tuples > 0, "no historical tuple reached WORM");
+    let serial = c.audit(true).unwrap();
+    assert_eq!(serial, c.audit(false).unwrap(), "serial and sealing audits disagree");
+    assert!(serial.0, "post-migration audit reported {} violations", serial.1);
 }

@@ -12,7 +12,7 @@
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ccdb_common::sync::Mutex;
@@ -50,11 +50,6 @@ pub struct DiskManager {
     /// Artificial per-I/O latency in microseconds (benchmark knob emulating
     /// remote storage — the paper's database lived on an NFS-mounted filer).
     io_latency_us: AtomicU64,
-    /// Latency model: `false` = spin (exact, but occupies a core — right for
-    /// single-stream runs), `true` = sleep (blocking-I/O semantics: waiting
-    /// threads yield the core, so concurrent readers overlap their waits —
-    /// right for the parallel-audit benchmarks).
-    io_latency_sleep: AtomicBool,
     /// Optional deterministic fault layer (crash/torn-write torture tests).
     injector: Mutex<Option<Arc<FaultInjector>>>,
 }
@@ -91,7 +86,6 @@ impl DiskManager {
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             io_latency_us: AtomicU64::new(0),
-            io_latency_sleep: AtomicBool::new(false),
             injector: Mutex::new(None),
         })
     }
@@ -124,30 +118,15 @@ impl DiskManager {
         self.io_latency_us.store(us, Ordering::Relaxed);
     }
 
-    /// Chooses the latency model: `true` sleeps (blocking-I/O semantics —
-    /// concurrent readers overlap their waits, which is what the parallel
-    /// auditor exploits), `false` spins (default; exact single-stream
-    /// emulation unaffected by OS timer granularity).
-    pub fn set_io_latency_sleep(&self, sleep: bool) {
-        self.io_latency_sleep.store(sleep, Ordering::Relaxed);
-    }
-
     fn simulate_latency(&self) {
         let us = self.io_latency_us.load(Ordering::Relaxed);
         if us > 0 {
-            if self.io_latency_sleep.load(Ordering::Relaxed) {
-                // Blocking-I/O model: the waiting thread yields the core, so
-                // N concurrent readers pay ~1x the latency, not Nx — the
-                // behavior of a real remote filer under parallel requests.
-                std::thread::sleep(std::time::Duration::from_micros(us));
-            } else {
-                // Spin rather than sleep: OS sleep granularity (~1 ms) would
-                // inflate the emulated latency ~10x. For a single-stream
-                // benchmark a spin models blocking I/O time exactly.
-                let deadline = std::time::Instant::now() + std::time::Duration::from_micros(us);
-                while std::time::Instant::now() < deadline {
-                    std::hint::spin_loop();
-                }
+            // Spin rather than sleep: OS sleep granularity (~1 ms) would
+            // inflate the emulated latency ~10x. For a single-stream
+            // benchmark a spin models blocking I/O time exactly.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_micros(us);
+            while std::time::Instant::now() < deadline {
+                std::hint::spin_loop();
             }
         }
     }
