@@ -300,9 +300,16 @@ pub struct AuditStats {
     /// WORM checkpoint from the previous clean audit already attests the
     /// prefix (0 = the full snapshot was re-folded).
     pub snapshot_prefix_skipped: u64,
-    /// Finalize: WAL-tail cross-check (µs wall; the per-transaction presence
-    /// probes fan out on the pool).
+    /// Finalize: WAL-tail cross-check (µs wall): reading and decoding the
+    /// tail (`wal_tail_read_us`), one chain read per distinct key (fanned
+    /// out on the pool), and the per-insert presence answers.
     pub wal_tail_us: u64,
+    /// Finalize: the WAL-tail check's WORM read plus WAL decode (µs wall;
+    /// part of `wal_tail_us`).
+    pub wal_tail_read_us: u64,
+    /// Finalize: distinct `(rel, key)`s whose chains the WAL-tail check
+    /// read (at most the stamped tail transactions' insert count).
+    pub wal_tail_keys: u64,
     /// Streaming auditor: records appended to `L` this epoch but not yet
     /// ingested by the stream at the last poll (0 for batch audits and for
     /// a fully caught-up stream).

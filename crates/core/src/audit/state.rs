@@ -57,6 +57,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
+use ccdb_btree::TimeRank;
 use ccdb_common::sync::parallel_map;
 use ccdb_common::{Duration, Error, PageNo, RelId, Result, Timestamp, TxnId};
 use ccdb_crypto::AddHash;
@@ -75,6 +76,9 @@ use super::{
     two_pc_checks, worm_integrity, AuditConfig, AuditOutcome, AuditReport, AuditStats, Auditor,
     FinalScan, ResolvedTuple, TwoPcBook, Violation,
 };
+
+/// A `(relation, key)` the WAL-tail check reads the version chain of.
+type TailKey<'a> = (RelId, &'a [u8]);
 
 /// Replayed state of one page.
 #[derive(Clone, Debug, Default)]
@@ -930,7 +934,7 @@ impl AuditState {
         shred_legality(engine, &self.shreds, &mut v);
         two_pc_checks(&self.two_pc, &self.stamps, &mut v);
         let tw = Instant::now();
-        self.wal_tail_check(engine, &mut v);
+        self.wal_tail_check(engine, &mut v, &mut stats);
         stats.wal_tail_us = us_since(tw);
 
         // Final state: tree checks and the completeness join share the pool.
@@ -1064,10 +1068,16 @@ impl AuditState {
     /// acknowledged by L (a STAMP_TRANS) and their writes present in the
     /// final state — a wiped local WAL cannot silently unwind recent
     /// commits.
-    fn wal_tail_check(&self, engine: &Engine, v: &mut Vec<Violation>) {
+    ///
+    /// Cost: one read of the tail, then one live-chain read per distinct
+    /// `(rel, key)` the stamped tail transactions insert (plus at most one
+    /// search of the historical pages per such key), not one per insert —
+    /// a hot row rewritten by every transaction of the epoch is read once.
+    fn wal_tail_check(&self, engine: &Engine, v: &mut Vec<Violation>, stats: &mut AuditStats) {
         if !self.worm.exists(&waltail_name(self.epoch)) {
             return;
         }
+        let tr = Instant::now();
         let tail_bytes = self.worm.read_all(&waltail_name(self.epoch)).unwrap_or_else(|e| {
             v.push(Violation::LogUnreadable { reason: format!("WAL tail: {e}") });
             Vec::new()
@@ -1086,50 +1096,82 @@ impl AuditState {
                 _ => {}
             }
         }
-        let mut jobs: Vec<TxnId> = Vec::new();
+        stats.wal_tail_read_us = us_since(tr);
+        let mut jobs: Vec<(TxnId, Timestamp)> = Vec::new();
         for txn in &tail_commits {
-            if self.stamps.contains_key(txn) {
-                jobs.push(*txn);
-            } else {
-                v.push(Violation::WalTailInconsistent { txn: *txn });
+            match self.stamps.get(txn) {
+                Some((ct, _)) => jobs.push((*txn, *ct)),
+                None => v.push(Violation::WalTailInconsistent { txn: *txn }),
             }
         }
-        // The per-transaction presence probes are independent read-only
-        // B-tree lookups — on emulated remote storage they dominate this
-        // check, so they fan out on the pool. Each probe reports at most
-        // one violation per transaction, determined by the WAL-tail insert
-        // order.
-        let tail_inserts = &tail_inserts;
-        let results: Vec<Option<Violation>> = parallel_map(self.threads, jobs, |txn| {
-            let ct = self.stamps[&txn].0;
-            for (rel, key) in tail_inserts.get(&txn).map(|v| v.as_slice()).unwrap_or(&[]) {
-                let present = engine
-                    .tree(*rel)
-                    .ok()
-                    .and_then(|tree| tree.versions(key).ok())
-                    .map(|vs| {
-                        vs.iter().any(|t| {
-                            t.time == WriteTime::Committed(ct) || t.time == WriteTime::Pending(txn)
-                        })
-                    })
-                    .unwrap_or(false)
-                    || engine
-                        .historical_versions(*rel, key)
-                        .map(|vs| vs.iter().any(|t| t.time == WriteTime::Committed(ct)))
-                        .unwrap_or(false);
-                // Vacuumed (legally shredded) and WORM-migrated
-                // versions are excused — they are accounted elsewhere.
-                let shredded = self.shreds.contains_key(&(*rel, key.clone(), ct));
-                let on_worm = self.migrated_versions.contains(&(*rel, key.clone(), ct));
-                if !present && !shredded && !on_worm {
-                    if audit_debug() {
-                        eprintln!("TAIL MISS txn={txn:?} rel={rel:?} key={key:02x?} ct={ct:?}");
-                    }
-                    return Some(Violation::WalTailInconsistent { txn });
-                }
+        let inserts = |txn: &TxnId| tail_inserts.get(txn).map(|v| v.as_slice()).unwrap_or(&[]);
+        // An insert by `txn` committed at `ct` is present when the key's
+        // live chain holds `Committed(ct)` or `Pending(txn)`, or a
+        // historical page holds `Committed(ct)`.
+        let present = |times: &[WriteTime], txn: TxnId, ct: Timestamp| {
+            times.binary_search(&WriteTime::Committed(ct)).is_ok()
+                || times.binary_search(&WriteTime::Pending(txn)).is_ok()
+        };
+        // Every distinct key the stamped transactions inserted, with the
+        // `(txn, commit time)` probes it must answer.
+        let mut probes: BTreeMap<TailKey, Vec<(TxnId, Timestamp)>> = BTreeMap::new();
+        for (txn, ct) in &jobs {
+            for (rel, key) in inserts(txn) {
+                probes.entry((*rel, key.as_slice())).or_default().push((*txn, *ct));
             }
-            None
+        }
+        stats.wal_tail_keys = probes.len() as u64;
+        // Each key's chain is read once, as the sorted set of write times
+        // it holds. The reads are independent read-only B-tree lookups — on
+        // emulated remote storage they dominate this check, so they fan
+        // out on the pool. The historical pages are searched only when the
+        // live chain leaves a probe unanswered, and then once; a failed
+        // read answers nothing, as a failed lookup always has.
+        let probes: Vec<(TailKey, Vec<(TxnId, Timestamp)>)> = probes.into_iter().collect();
+        let times = parallel_map(self.threads, probes, |((rel, key), probes)| {
+            let mut live = Vec::new();
+            let read = engine.tree(rel).and_then(|tree| {
+                tree.scan_range((key, TimeRank::MIN), (key, TimeRank::MAX), &mut |t| {
+                    live.push(t.time);
+                    Ok(())
+                })
+            });
+            if read.is_err() {
+                live.clear();
+            }
+            live.sort_unstable();
+            if probes.iter().all(|(txn, ct)| present(&live, *txn, *ct)) {
+                return ((rel, key), live);
+            }
+            let historical = engine.historical_versions(rel, key).unwrap_or_default();
+            live.extend(
+                historical
+                    .iter()
+                    .filter(|t| matches!(t.time, WriteTime::Committed(_)))
+                    .map(|t| t.time),
+            );
+            live.sort_unstable();
+            ((rel, key), live)
         });
-        v.extend(results.into_iter().flatten());
+        let times: HashMap<TailKey, Vec<WriteTime>> = times.into_iter().collect();
+        // At most one violation per transaction, for its first insert in
+        // WAL-tail order that is neither present nor excused: vacuumed
+        // (legally shredded) and WORM-migrated versions are accounted
+        // elsewhere.
+        for (txn, ct) in jobs {
+            for (rel, key) in inserts(&txn) {
+                if present(&times[&(*rel, key.as_slice())], txn, ct)
+                    || self.shreds.contains_key(&(*rel, key.clone(), ct))
+                    || self.migrated_versions.contains(&(*rel, key.clone(), ct))
+                {
+                    continue;
+                }
+                if audit_debug() {
+                    eprintln!("TAIL MISS txn={txn:?} rel={rel:?} key={key:02x?} ct={ct:?}");
+                }
+                v.push(Violation::WalTailInconsistent { txn });
+                break;
+            }
+        }
     }
 }

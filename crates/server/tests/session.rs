@@ -12,15 +12,38 @@ use ccdb_metrics::http_get;
 use ccdb_rpc::client::{is_admission_rejected, Client, ClientPool};
 use ccdb_server::{Server, ServerConfig};
 
-fn tmp(tag: &str) -> PathBuf {
-    let p = std::env::temp_dir().join(format!(
-        "ccdb-server-{}-{}-{}",
-        std::process::id(),
-        tag,
-        std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
-    ));
-    let _ = std::fs::remove_dir_all(&p);
-    p
+/// A scratch data directory removed on drop.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> TempDir {
+        TempDir(std::env::temp_dir().join(format!(
+            "ccdb-server-{}-{}-{}",
+            std::process::id(),
+            tag,
+            std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
+        )))
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A running server and its data directory, removed after the server stops
+/// (fields drop in declaration order).
+struct TestServer {
+    server: Server,
+    _dir: TempDir,
+}
+
+impl std::ops::Deref for TestServer {
+    type Target = Server;
+    fn deref(&self) -> &Server {
+        &self.server
+    }
 }
 
 fn cfg() -> ComplianceConfig {
@@ -37,10 +60,11 @@ fn clock() -> ClockRef {
     Arc::new(VirtualClock::ticking(Duration::from_micros(50)))
 }
 
-fn start(tag: &str, tweak: impl FnOnce(&mut ServerConfig)) -> Server {
-    let mut config = ServerConfig::new(tmp(tag), cfg());
+fn start(tag: &str, tweak: impl FnOnce(&mut ServerConfig)) -> TestServer {
+    let dir = TempDir::new(tag);
+    let mut config = ServerConfig::new(dir.0.clone(), cfg());
     tweak(&mut config);
-    Server::start(config, clock()).unwrap()
+    TestServer { server: Server::start(config, clock()).unwrap(), _dir: dir }
 }
 
 /// Polls `cond` for up to 5 s; panics with `what` on timeout.

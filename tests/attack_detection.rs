@@ -310,6 +310,78 @@ fn wal_wipe_after_crash_cannot_unwind_commits() {
     );
 }
 
+/// The transactions a report convicts of `WalTailInconsistent`, sorted.
+fn wal_tail_flagged(report: &ccdb::compliance::AuditReport) -> Vec<TxnId> {
+    let mut txns: Vec<TxnId> = report
+        .violations
+        .iter()
+        .filter_map(|v| match v {
+            Violation::WalTailInconsistent { txn } => Some(*txn),
+            _ => None,
+        })
+        .collect();
+    txns.sort();
+    txns
+}
+
+/// Commits one transaction that writes `value` under `key` once per entry.
+fn write_txn(db: &CompliantDb, rel: RelId, key: &[u8], values: &[&str]) -> TxnId {
+    let t = db.begin().unwrap();
+    for v in values {
+        db.write(t, rel, key, v.as_bytes()).unwrap();
+    }
+    db.commit(t).unwrap();
+    t
+}
+
+#[test]
+fn deleting_one_version_of_a_hot_key_convicts_exactly_its_writer() {
+    // A hot row: after the seal, eight transactions rewrite one key and
+    // Mala deletes the oldest version. The WAL-tail check reads the key's
+    // chain once for all eight writers, yet must blame exactly the writer
+    // whose version vanished — and no other writer of the key.
+    let (db, _c, _d) = setup("hot-key", Mode::LogConsistent);
+    let rel = seed(&db, 50);
+    assert!(db.audit().unwrap().is_clean());
+    let writers: Vec<TxnId> =
+        (0..8).map(|i| write_txn(&db, rel, b"hot-row", &[&format!("v{i}")])).collect();
+    db.engine().checkpoint().unwrap();
+    db.engine().clear_cache().unwrap();
+    assert!(mala(&db).delete_tuple(b"hot-row").unwrap());
+    let report = audit_both(&db);
+    assert_eq!(wal_tail_flagged(&report), vec![writers[0]], "{:?}", report.violations);
+}
+
+#[test]
+fn a_double_write_is_convicted_once_both_copies_are_gone() {
+    // One transaction writes the hot key twice (two versions under one
+    // commit time), a later one once more. While either copy survives, the
+    // writer's commit time is still in the chain and the deletion is a
+    // completeness finding only; once both are gone the WAL tail convicts
+    // that transaction, once, and not the later writer.
+    let (db, _c, _d) = setup("double-write", Mode::LogConsistent);
+    let rel = seed(&db, 50);
+    assert!(db.audit().unwrap().is_clean());
+    let twice = write_txn(&db, rel, b"dup-row", &["first", "second"]);
+    write_txn(&db, rel, b"dup-row", &["third"]);
+    db.engine().checkpoint().unwrap();
+    db.engine().clear_cache().unwrap();
+
+    assert!(mala(&db).delete_tuple(b"dup-row").unwrap());
+    let one_copy = db.audit_outcome_with(ccdb::compliance::AuditConfig::serial()).unwrap();
+    assert_eq!(wal_tail_flagged(&one_copy.report), vec![], "{:?}", one_copy.report.violations);
+    assert!(
+        one_copy.report.violations.iter().any(|v| matches!(v, Violation::CompletenessMismatch)),
+        "{:?}",
+        one_copy.report.violations
+    );
+
+    db.engine().clear_cache().unwrap();
+    assert!(mala(&db).delete_tuple(b"dup-row").unwrap());
+    let report = audit_both(&db);
+    assert_eq!(wal_tail_flagged(&report), vec![twice], "{:?}", report.violations);
+}
+
 #[test]
 fn tampering_with_pre_snapshot_data_is_detected_in_later_epochs() {
     // Data verified by audit N and recorded in the snapshot must stay

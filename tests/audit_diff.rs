@@ -18,8 +18,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use ccdb::btree::SplitPolicy;
-use ccdb::common::{Duration, SplitMix64, VirtualClock};
-use ccdb::compliance::{AuditConfig, AuditOutcome, ComplianceConfig, CompliantDb, Mode};
+use ccdb::common::{Duration, SplitMix64, TxnId, VirtualClock};
+use ccdb::compliance::{AuditConfig, AuditOutcome, ComplianceConfig, CompliantDb, Mode, Violation};
 
 mod spec_audit;
 
@@ -139,6 +139,22 @@ fn assert_same_outcome(tag: &str, a: &AuditOutcome, b: &AuditOutcome) {
     assert_eq!(a.snapshot_pages, b.snapshot_pages, "{tag}: snapshot_pages");
 }
 
+/// The transactions an outcome convicts of `WalTailInconsistent`, sorted
+/// (duplicates kept, so a repeated conviction shows against the spec's set).
+fn wal_tail_flagged(out: &AuditOutcome) -> Vec<TxnId> {
+    let mut txns: Vec<TxnId> = out
+        .report
+        .violations
+        .iter()
+        .filter_map(|v| match v {
+            Violation::WalTailInconsistent { txn } => Some(*txn),
+            _ => None,
+        })
+        .collect();
+    txns.sort();
+    txns
+}
+
 fn diff_seeds() -> Vec<u64> {
     match std::env::var("CCDB_AUDIT_DIFF_SEEDS") {
         Ok(s) => s
@@ -166,6 +182,24 @@ fn sweep(mode: Mode, tag: &str) {
         let spec = spec_audit::run(&db, AUDITOR_SEED);
         assert!(spec.expected == spec.actual, "{tag} seed={seed}: spec says Df != Ds ∪ L");
         assert_eq!(spec.actual_hash(), serial.tuple_hash, "{tag} seed={seed}: spec vs tuple_hash");
+        assert_eq!(
+            wal_tail_flagged(&serial),
+            spec.wal_tail_inconsistent,
+            "{tag} seed={seed}: spec vs WAL-tail verdict"
+        );
+        let stats = &serial.report.stats;
+        println!(
+            "{tag} seed={seed}: WAL tail {} inserts, {} keys read; wal_tail_us={} (read {})",
+            spec.wal_tail_inserts, stats.wal_tail_keys, stats.wal_tail_us, stats.wal_tail_read_us
+        );
+        // The tail check read each distinct key once: at least one, and
+        // never more than the tail holds inserts.
+        let keys = stats.wal_tail_keys;
+        assert!(
+            keys > 0 && keys as usize <= spec.wal_tail_inserts,
+            "{tag} seed={seed}: {keys} keys probed for {} tail inserts",
+            spec.wal_tail_inserts
+        );
 
         for threads in [1usize, 2, 4, 8] {
             for chunk in [1usize, 3, ccdb::compliance::DEFAULT_L_CHUNK_RECORDS] {
@@ -292,9 +326,53 @@ fn spec_oracle_follows_worm_migration() {
         let spec = spec_audit::run(&db, AUDITOR_SEED);
         assert!(spec.expected == spec.actual, "wave {wave}: spec says Df != Ds ∪ L");
         assert_eq!(spec.actual_hash(), out.tuple_hash, "wave {wave}: spec vs tuple_hash");
+        assert_eq!(wal_tail_flagged(&out), spec.wal_tail_inconsistent, "wave {wave}: WAL tail");
         if wave == 1 {
             assert!(db.audit().unwrap().is_clean(), "epoch roll");
         }
     }
     assert!(migrated > 0, "the workload never migrated a page — test is vacuous");
+}
+
+/// The WAL-tail rule on a hot row. After a seal, eight transactions rewrite
+/// one key — the first of them twice — and Mala deletes the `n` oldest
+/// versions. The spec looks every insert up on its own; the product reads
+/// the key's chain once for all of them. Both must convict the same
+/// writers: nobody while one of the double write's copies survives, then
+/// the double writer, then it and the next writer.
+#[test]
+fn spec_oracle_agrees_on_the_wal_tail_of_a_hot_key() {
+    use ccdb::adversary::Mala;
+
+    for (deleted, convicted) in [(1usize, 0usize), (2, 1), (3, 2)] {
+        let d = TempDir::new(&format!("spec-hot-{deleted}"));
+        let (db, clock) = open(&d, Mode::LogConsistent);
+        seeded_workload(&db, &clock, 3, 1);
+        assert!(db.audit().unwrap().is_clean(), "seal");
+        let ledger = db.engine().rel_id("ledger").unwrap();
+        let mut writers = Vec::new();
+        for i in 0..8u32 {
+            let t = db.begin().unwrap();
+            for copy in 0..if i == 0 { 2 } else { 1 } {
+                db.write(t, ledger, b"hot-row", format!("w{i}c{copy}").as_bytes()).unwrap();
+            }
+            db.commit(t).unwrap();
+            writers.push(t);
+        }
+        db.engine().checkpoint().unwrap();
+        db.engine().clear_cache().unwrap();
+        let mala = Mala::new(db.engine().db_path());
+        for _ in 0..deleted {
+            assert!(mala.delete_tuple(b"hot-row").unwrap());
+        }
+
+        let spec = spec_audit::run(&db, AUDITOR_SEED);
+        let mut expected = writers[..convicted].to_vec();
+        expected.sort();
+        assert_eq!(spec.wal_tail_inconsistent, expected, "deleted={deleted}: spec");
+        for cfg in [AuditConfig::serial(), AuditConfig::default().with_threads(4)] {
+            let out = db.audit_outcome_with(cfg).unwrap();
+            assert_eq!(wal_tail_flagged(&out), expected, "deleted={deleted}: product");
+        }
+    }
 }

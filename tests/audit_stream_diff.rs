@@ -19,8 +19,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use ccdb::btree::SplitPolicy;
-use ccdb::common::{Duration, SplitMix64, VirtualClock};
-use ccdb::compliance::{AuditConfig, AuditOutcome, ComplianceConfig, CompliantDb, Mode};
+use ccdb::common::{Duration, SplitMix64, TxnId, VirtualClock};
+use ccdb::compliance::{AuditConfig, AuditOutcome, ComplianceConfig, CompliantDb, Mode, Violation};
 
 mod spec_audit;
 
@@ -138,6 +138,22 @@ fn assert_same_outcome(tag: &str, a: &AuditOutcome, b: &AuditOutcome) {
     assert_eq!(a.snapshot_pages, b.snapshot_pages, "{tag}: snapshot_pages");
 }
 
+/// The transactions an outcome convicts of `WalTailInconsistent`, sorted
+/// (duplicates kept, so a repeated conviction shows against the spec's set).
+fn wal_tail_flagged(out: &AuditOutcome) -> Vec<TxnId> {
+    let mut txns: Vec<TxnId> = out
+        .report
+        .violations
+        .iter()
+        .filter_map(|v| match v {
+            Violation::WalTailInconsistent { txn } => Some(*txn),
+            _ => None,
+        })
+        .collect();
+    txns.sort();
+    txns
+}
+
 fn diff_seeds() -> Vec<u64> {
     match std::env::var("CCDB_AUDIT_DIFF_SEEDS") {
         Ok(s) => s
@@ -187,6 +203,17 @@ fn sweep(mode: Mode, tag: &str) {
             let spec = spec_audit::run(&db, AUDITOR_SEED);
             assert!(spec.expected == spec.actual, "{label}: spec says Df != Ds ∪ L");
             assert_eq!(spec.actual_hash(), sv.tuple_hash, "{label}: spec vs tuple_hash");
+            assert_eq!(
+                wal_tail_flagged(&sv),
+                spec.wal_tail_inconsistent,
+                "{label}: spec vs WAL-tail verdict"
+            );
+            let keys = sv.report.stats.wal_tail_keys;
+            assert!(
+                keys > 0 && keys as usize <= spec.wal_tail_inserts,
+                "{label}: {keys} keys probed for {} tail inserts",
+                spec.wal_tail_inserts
+            );
             // One finalize serves all three drivers, so all three account
             // for its phases (a streaming verdict used to report zeros).
             for (who, out) in [("serial", &serial), ("parallel", &par), ("stream", &sv)] {
@@ -331,4 +358,45 @@ fn snapshot_prefix_skipped_accounting_agrees() {
     assert_same_outcome("skip on-vs-off serial", &on_serial, &off_serial);
     assert_same_outcome("skip on-vs-off streaming", &on_stream, &off_stream);
     assert_same_outcome("skip streaming-vs-serial", &on_stream, &on_serial);
+}
+
+/// The WAL-tail rule on a hot row, streamed: a stream that polled along as
+/// eight transactions rewrote one key (the first of them twice) must, after
+/// Mala deletes the three oldest versions, convict the same two writers as
+/// the spec's one-lookup-per-insert rule and the batch auditor.
+#[test]
+fn streamed_wal_tail_verdict_on_a_hot_key_matches_the_spec() {
+    use ccdb::adversary::Mala;
+
+    let d = TempDir::new("spec-hot");
+    let (db, _clock) = open(&d, Mode::LogConsistent);
+    let mut stream = db.stream_auditor().unwrap();
+    seeded_workload(&db, 3, 1, &mut |_| {});
+    assert!(db.audit().unwrap().is_clean(), "seal");
+    let ledger = db.engine().rel_id("ledger").unwrap();
+    let mut writers = Vec::new();
+    for i in 0..8u32 {
+        let t = db.begin().unwrap();
+        for copy in 0..if i == 0 { 2 } else { 1 } {
+            db.write(t, ledger, b"hot-row", format!("w{i}c{copy}").as_bytes()).unwrap();
+        }
+        db.commit(t).unwrap();
+        writers.push(t);
+        assert!(stream.poll(&db).unwrap().is_none(), "clean tail alerted");
+    }
+    db.engine().checkpoint().unwrap();
+    db.engine().clear_cache().unwrap();
+    let mala = Mala::new(db.engine().db_path());
+    for _ in 0..3 {
+        assert!(mala.delete_tuple(b"hot-row").unwrap());
+    }
+
+    let spec = spec_audit::run(&db, AUDITOR_SEED);
+    let mut expected = writers[..2].to_vec();
+    expected.sort();
+    assert_eq!(spec.wal_tail_inconsistent, expected, "spec");
+    let serial = db.audit_outcome_with(AuditConfig::serial()).unwrap();
+    let sv = stream.verdict(&db).unwrap();
+    assert_eq!(wal_tail_flagged(&sv), expected, "stream");
+    assert_same_outcome("hot-key stream vs serial", &serial, &sv);
 }

@@ -13,8 +13,11 @@
 //!
 //! build the **actual** set from a raw scan of the leaves of `Df` (pending
 //! times resolved from the stamps), sort both, compare. Its `use` list is
-//! the independence argument: record, page, tuple and snapshot *decoders*
-//! only — nothing from `ccdb::compliance::audit`.
+//! the independence argument: record, WAL, page, tuple and snapshot
+//! *decoders* and engine reads only — nothing from `ccdb::compliance::audit`.
+//!
+//! It also checks the WAL-tail rule the same way: for every insert of every
+//! commit in the WORM copy of the WAL tail, one lookup in the engine.
 //!
 //! It models honest histories plus tampering with the tuples of `Df`. It
 //! does not model crash recovery (the product excuses a conventional copy of
@@ -24,12 +27,13 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use ccdb::common::{PageNo, RelId, Timestamp, TxnId};
-use ccdb::compliance::logger::epoch_log_name;
+use ccdb::compliance::logger::{epoch_log_name, waltail_name};
 use ccdb::compliance::migrate::MigratedPage;
 use ccdb::compliance::records::LogIter;
 use ccdb::compliance::{CompliantDb, LogRecord, SnapshotManager};
 use ccdb::crypto::AddHash;
 use ccdb::storage::{Page, PageStore, PageType, TupleVersion, WriteTime};
+use ccdb::wal::{WalReader, WalRecord};
 
 /// Both sides of `Df = Ds ∪ L`, as sorted tuple identities.
 pub struct SpecAudit {
@@ -37,6 +41,10 @@ pub struct SpecAudit {
     pub expected: Vec<Vec<u8>>,
     /// What the database file holds.
     pub actual: Vec<Vec<u8>>,
+    /// Insert records in the WORM copy of the epoch's WAL tail.
+    pub wal_tail_inserts: usize,
+    /// Transactions the WAL-tail rule convicts, sorted.
+    pub wal_tail_inconsistent: Vec<TxnId>,
 }
 
 impl SpecAudit {
@@ -82,18 +90,20 @@ pub fn run(db: &CompliantDb, auditor_seed: [u8; 32]) -> SpecAudit {
             _ => {}
         }
     }
+    // A version's commit time, if it is committed.
+    let commit_of = |t: &TupleVersion| match t.time {
+        WriteTime::Committed(ct) => Some(ct),
+        WriteTime::Pending(txn) => stamps.get(&txn).copied(),
+    };
     // A cell's identity, if it decodes and its version is committed.
     let committed = |cell: &[u8]| -> Option<Vec<u8>> {
         let t = TupleVersion::decode_cell(cell).ok()?;
-        let commit = match t.time {
-            WriteTime::Committed(ct) => ct,
-            WriteTime::Pending(txn) => *stamps.get(&txn)?,
-        };
-        Some(identity(&t, commit))
+        Some(identity(&t, commit_of(&t)?))
     };
 
     // Expected: Ds, then L in order.
     let mut expected: BTreeSet<Vec<u8>> = BTreeSet::new();
+    let mut migrated: HashSet<(RelId, Vec<u8>, Timestamp)> = HashSet::new();
     if let Some(prev) = epoch.checked_sub(1) {
         let snapshot = SnapshotManager::new(db.worm().clone(), auditor_seed)
             .load(prev)
@@ -119,8 +129,11 @@ pub fn run(db: &CompliantDb, auditor_seed: [u8; 32]) -> SpecAudit {
             }
             LogRecord::Migrate { worm_file, .. } => {
                 let copy = MigratedPage::decode(&db.worm().read_all(worm_file).unwrap()).unwrap();
-                for id in copy.cells.iter().filter_map(|c| committed(c)) {
-                    expected.remove(&id);
+                for t in copy.cells.iter().filter_map(|c| TupleVersion::decode_cell(c).ok()) {
+                    if let Some(ct) = commit_of(&t) {
+                        expected.remove(&identity(&t, ct));
+                        migrated.insert((t.rel, t.key, ct));
+                    }
                 }
             }
             _ => {}
@@ -137,5 +150,52 @@ pub fn run(db: &CompliantDb, auditor_seed: [u8; 32]) -> SpecAudit {
         }
     }
     actual.sort();
-    SpecAudit { expected: expected.into_iter().collect(), actual }
+
+    // The WAL tail: every commit durable in it must be stamped in L, and
+    // each of its inserts must still be there — a version under its commit
+    // time (or still pending under its id) in the key's live chain, or
+    // under its commit time on a historical page — unless L shredded or
+    // migrated that version.
+    let mut tail_commits: BTreeSet<TxnId> = BTreeSet::new();
+    let mut tail_inserts: Vec<(TxnId, RelId, Vec<u8>)> = Vec::new();
+    let tail_name = waltail_name(epoch);
+    if db.worm().exists(&tail_name) {
+        let mut reader = WalReader::from_bytes(db.worm().read_all(&tail_name).unwrap());
+        while let Some((_, rec)) = reader.next_record() {
+            match rec {
+                WalRecord::Commit { txn, .. } => {
+                    tail_commits.insert(txn);
+                }
+                WalRecord::Insert { txn, rel, key, .. } => tail_inserts.push((txn, rel, key)),
+                _ => {}
+            }
+        }
+    }
+    let engine = db.engine();
+    let mut wal_tail_inconsistent: BTreeSet<TxnId> = BTreeSet::new();
+    for &txn in &tail_commits {
+        let Some(&ct) = stamps.get(&txn) else {
+            wal_tail_inconsistent.insert(txn);
+            continue;
+        };
+        for (_, rel, key) in tail_inserts.iter().filter(|(t, _, _)| *t == txn) {
+            let live = engine.tree(*rel).and_then(|tree| tree.versions(key)).unwrap_or_default();
+            let historical = engine.historical_versions(*rel, key).unwrap_or_default();
+            let present = live
+                .iter()
+                .any(|t| t.time == WriteTime::Committed(ct) || t.time == WriteTime::Pending(txn))
+                || historical.iter().any(|t| t.time == WriteTime::Committed(ct));
+            let excused = shredded.contains(&(*rel, key.clone(), ct))
+                || migrated.contains(&(*rel, key.clone(), ct));
+            if !present && !excused {
+                wal_tail_inconsistent.insert(txn);
+            }
+        }
+    }
+    SpecAudit {
+        expected: expected.into_iter().collect(),
+        actual,
+        wal_tail_inserts: tail_inserts.len(),
+        wal_tail_inconsistent: wal_tail_inconsistent.into_iter().collect(),
+    }
 }
